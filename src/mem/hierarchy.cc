@@ -16,16 +16,6 @@ HierarchyStats::operator+=(const HierarchyStats& o)
     return *this;
 }
 
-std::uint64_t
-pseudoPhysical(std::uint64_t addr, std::uint32_t page_bytes)
-{
-    std::uint64_t off_mask = page_bytes - 1;
-    std::uint64_t page = addr / page_bytes;
-    std::uint64_t hashed = page * 0x9e3779b97f4a7c15ULL;
-    hashed ^= hashed >> 29;
-    return (hashed * page_bytes) | (addr & off_mask);
-}
-
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
     : config_(config),
       l1i_(config.l1i),

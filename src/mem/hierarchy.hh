@@ -1,6 +1,7 @@
 #ifndef SPIKESIM_MEM_HIERARCHY_HH
 #define SPIKESIM_MEM_HIERARCHY_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "mem/cache.hh"
@@ -52,10 +53,17 @@ struct HierarchyStats
  * the way an OS's physical page allocator scatters them. The L2/board
  * cache is physically indexed, so without this every image and data
  * region would collide at the same cache offsets merely because their
- * virtual bases are aligned.
+ * virtual bases are aligned. `page_bytes` must be a power of two (the
+ * iTLB requires it of every HierarchyConfig).
  */
-std::uint64_t pseudoPhysical(std::uint64_t addr,
-                             std::uint32_t page_bytes = 8 * 1024);
+inline std::uint64_t
+pseudoPhysical(std::uint64_t addr, std::uint32_t page_bytes = 8 * 1024)
+{
+    const int shift = std::countr_zero(page_bytes);
+    std::uint64_t hashed = (addr >> shift) * 0x9e3779b97f4a7c15ULL;
+    hashed ^= hashed >> 29;
+    return (hashed << shift) | (addr & (page_bytes - 1));
+}
 
 /** One processor's caches + iTLB. */
 class MemoryHierarchy

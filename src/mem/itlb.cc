@@ -21,31 +21,34 @@ ITlb::access(std::uint64_t addr)
 {
     std::uint64_t page = addr >> page_shift_;
     ++now_;
-    if (page == last_page_ && last_entry_ != nullptr) {
-        last_entry_->stamp = now_;
+    if (page == last_page_ && last_index_ != kNoEntry) {
+        entries_[last_index_].stamp = now_;
         ++hits_;
         return true;
     }
     last_page_ = page;
 
-    Entry* victim = &entries_[0];
-    for (auto& e : entries_) {
+    std::size_t victim = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        Entry& e = entries_[i];
         if (e.valid && e.page == page) {
             e.stamp = now_;
-            last_entry_ = &e;
+            last_index_ = i;
             ++hits_;
             return true;
         }
         if (!e.valid)
-            victim = &e;
-        else if (victim->valid && e.stamp < victim->stamp)
-            victim = &e;
+            victim = i;
+        else if (entries_[victim].valid &&
+                 e.stamp < entries_[victim].stamp)
+            victim = i;
     }
     ++misses_;
-    victim->valid = true;
-    victim->page = page;
-    victim->stamp = now_;
-    last_entry_ = victim;
+    Entry& v = entries_[victim];
+    v.valid = true;
+    v.page = page;
+    v.stamp = now_;
+    last_index_ = victim;
     return false;
 }
 
@@ -58,7 +61,7 @@ ITlb::reset()
     hits_ = 0;
     misses_ = 0;
     last_page_ = ~0ULL;
-    last_entry_ = nullptr;
+    last_index_ = kNoEntry;
 }
 
 } // namespace spikesim::mem

@@ -1,6 +1,7 @@
 #ifndef SPIKESIM_MEM_ITLB_HH
 #define SPIKESIM_MEM_ITLB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,9 +42,12 @@ class ITlb
     std::uint64_t now_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    /** One-entry filter: consecutive fetches hit the same page. */
+    /** One-entry filter: consecutive fetches hit the same page. The
+     *  entry is kept as an index, not a pointer, so a copied TLB
+     *  stamps its own storage. */
+    static constexpr std::size_t kNoEntry = ~std::size_t{0};
     std::uint64_t last_page_ = ~0ULL;
-    Entry* last_entry_ = nullptr;
+    std::size_t last_index_ = kNoEntry;
 };
 
 } // namespace spikesim::mem

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "serve/queueing.hh"
+#include "sim/kernels_detail.hh"
 #include "support/panic.hh"
 
 namespace spikesim::serve {
@@ -58,29 +59,20 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
     const auto segs = segments(trace);
     const auto events = trace.events();
 
-    // Private L1 I/D per (tenant, cpu); shared L2 + iTLB per cpu.
-    std::vector<mem::SetAssocCache> l1i;
-    std::vector<mem::SetAssocCache> l1d;
-    std::vector<mem::SetAssocCache> l2;
-    std::vector<mem::ITlb> itlb;
-    l1i.reserve(tenants * static_cast<std::size_t>(ncpus));
-    l1d.reserve(tenants * static_cast<std::size_t>(ncpus));
-    for (std::size_t i = 0; i < tenants * static_cast<std::size_t>(ncpus);
-         ++i) {
-        l1i.emplace_back(h.l1i);
-        l1d.emplace_back(h.l1d);
-    }
-    l2.reserve(static_cast<std::size_t>(ncpus));
-    itlb.reserve(static_cast<std::size_t>(ncpus));
-    for (int i = 0; i < ncpus; ++i) {
-        l2.emplace_back(h.l2);
-        itlb.emplace_back(h.itlb_entries, h.page_bytes);
-    }
+    // Private L1 I/D per (tenant, cpu); shared L2 + iTLB per cpu. The
+    // flat state of the hierarchy replay kernel: only the outcomes are
+    // simulated there, each priced in cycles here in access order.
+    std::vector<sim::detail::HierarchyL1> l1(
+        tenants * static_cast<std::size_t>(ncpus),
+        sim::detail::HierarchyL1(h));
+    std::vector<sim::detail::HierarchyTail> tail(
+        static_cast<std::size_t>(ncpus), sim::detail::HierarchyTail(h));
     std::vector<std::uint64_t> expected(
         tenants * static_cast<std::size_t>(ncpus), ~0ULL);
 
-    const std::uint64_t iline = h.l1i.line_bytes;
     const std::uint64_t dline = h.l1d.line_bytes;
+    const std::uint32_t ishift = l1.front().icache.shift();
+    const std::uint32_t dshift = l1.front().dcache.shift();
     cycles_.reserve(segs.size() * tenants);
 
     // Tenants execute the trace interleaved one transaction at a time:
@@ -101,18 +93,14 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
                 const std::uint64_t line =
                     (static_cast<std::uint64_t>(e.block) << 2) &
                     ~(dline - 1);
-                if (l1d[tc].access(line, mem::Owner::Data).hit) {
+                if (l1[tc].dcache.access(line >> dshift)) {
                     stats_.mem.l1d.record(false);
                     continue;
                 }
                 stats_.mem.l1d.record(true);
                 c += p.l2_hit_cycles;
-                const bool miss =
-                    !l2[e.cpu]
-                         .access(mem::pseudoPhysical(line + salt,
-                                                     h.page_bytes),
-                                 mem::Owner::Data)
-                         .hit;
+                const bool miss = !tail[e.cpu].l2Access(
+                    mem::pseudoPhysical(line + salt, h.page_bytes));
                 stats_.mem.l2d.record(miss);
                 if (miss)
                     c += p.mem_cycles;
@@ -132,27 +120,23 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
                 c += p.fetch_break_cycles;
             }
             expected[tc] = end;
-            const mem::Owner owner = e.image == trace::ImageId::App
-                                         ? mem::Owner::App
-                                         : mem::Owner::Kernel;
-            for (std::uint64_t a = addr & ~(iline - 1); a < end;
-                 a += iline) {
-                if (!itlb[e.cpu].access(a + salt)) {
+            const std::uint64_t ln_end = (end - 1) >> ishift;
+            for (std::uint64_t ln = addr >> ishift; ln <= ln_end; ++ln) {
+                const std::uint64_t a = ln << ishift;
+                // The iTLB is shared by the CPU's tenants, so a repeat
+                // line of this tenant's L1 is not a repeat page for it.
+                if (!tail[e.cpu].translate(a + salt)) {
                     ++stats_.mem.itlb_misses;
                     c += p.itlb_cycles;
                 }
-                if (l1i[tc].access(a, owner).hit) {
+                if (l1[tc].fetch(ln)) {
                     stats_.mem.l1i.record(false);
                     continue;
                 }
                 stats_.mem.l1i.record(true);
                 c += p.l2_hit_cycles;
-                const bool miss =
-                    !l2[e.cpu]
-                         .access(mem::pseudoPhysical(a + salt,
-                                                     h.page_bytes),
-                                 owner)
-                         .hit;
+                const bool miss = !tail[e.cpu].l2Access(
+                    mem::pseudoPhysical(a + salt, h.page_bytes));
                 stats_.mem.l2i.record(miss);
                 if (miss)
                     c += p.mem_cycles;

@@ -489,12 +489,11 @@ replaySequence(const ResolvedTrace& trace, support::ThreadPool* pool)
 }
 
 // ---------------------------------------------------------------------
-// SoA overloads. The instrumented/hierarchy/sequence walks below are
-// the column-major ports of the AoS shard bodies above: identical
-// simulator objects, identical per-CPU record order, only the field
-// loads differ. The i-cache, three-C, iTLB, and stream-buffer families
-// instead dispatch into the throughput kernels (sim/kernels.hh), which
-// replace the simulator objects with flat grouped tables.
+// SoA overloads. The sequence walk below is the column-major port of
+// the AoS shard body above: identical per-CPU record order, only the
+// field loads differ. Every other family dispatches into the
+// throughput kernels (sim/kernels.hh), which replace the simulator
+// objects with flat grouped tables.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -747,42 +746,22 @@ replayHierarchy(const ResolvedTraceSoA& soa,
 
     forEachShard(soa, n_cfg, pool,
                  [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<mem::MemoryHierarchy> cpus;
-        cpus.reserve(k1 - k0);
-        for (std::size_t k = k0; k < k1; ++k)
-            cpus.emplace_back(configs[k]);
-        std::uint64_t expected = ~0ULL;
+        std::vector<mem::HierarchyStats> local(k1 - k0);
         std::uint64_t instrs = 0;
         std::uint64_t breaks = 0;
-        const auto [begin, end_i] = soa.cpuRange(cpu);
-        for (std::size_t i = begin; i < end_i; ++i) {
-            const std::uint64_t addr = soa.addr[i];
-            if (soa.owner[i] == kOwnerDataByte) {
-                for (std::size_t k = k0; k < k1; ++k) {
-                    const std::uint64_t dline =
-                        configs[k].l1d.line_bytes;
-                    cpus[k - k0].dataLine(addr & ~(dline - 1));
-                }
-                continue;
-            }
-            const std::uint64_t end = addr + soa.bytes[i];
-            instrs += soa.bytes[i] / program::kInstrBytes;
-            if (addr != expected)
-                ++breaks;
-            expected = end;
-            const mem::Owner owner =
-                static_cast<mem::Owner>(soa.owner[i]);
-            for (std::size_t k = k0; k < k1; ++k) {
-                const std::uint64_t iline = configs[k].l1i.line_bytes;
-                mem::MemoryHierarchy& h = cpus[k - k0];
-                for (std::uint64_t a = addr & ~(iline - 1); a < end;
-                     a += iline)
-                    h.fetchLine(a, owner);
-            }
-        }
+        detail::HierarchyShard shard;
+        shard.soa = &soa;
+        shard.cpu = cpu;
+        shard.configs = configs.data();
+        shard.k0 = k0;
+        shard.k1 = k1;
+        shard.out = local.data();
+        shard.instrs = &instrs;
+        shard.fetch_breaks = &breaks;
+        detail::hierarchyShard(shard);
         for (std::size_t k = k0; k < k1; ++k)
             partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                cpus[k - k0].stats();
+                local[k - k0];
         if (k0 == 0) {
             instrs_cpu[static_cast<std::size_t>(cpu)] = instrs;
             breaks_cpu[static_cast<std::size_t>(cpu)] = breaks;

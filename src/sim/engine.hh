@@ -104,12 +104,12 @@ replaySequence(const ResolvedTrace& trace,
  * SoA overloads: the same seven replays over a column-major
  * ResolvedTraceSoA (sim/soa.hh). Results are bit-identical to the AoS
  * overloads — the per-CPU record sequences are the same values in the
- * same order, only the storage layout differs. The i-cache, three-C,
- * iTLB, and stream-buffer families route through the throughput
- * kernels of sim/kernels.hh and accept a SimdMode (the iTLB kernel is
- * FA-LRU-bound and runs the same scalar walk under every mode); the
- * remaining families keep their simulator objects and simply stream
- * the columns.
+ * same order, only the storage layout differs. Every family but the
+ * sequence analysis routes through the throughput kernels of
+ * sim/kernels.hh. The i-cache, three-C, iTLB and stream-buffer
+ * families accept a SimdMode (the iTLB kernel is FA-LRU-bound and runs
+ * the same scalar walk under every mode); the instrumented and
+ * hierarchy kernels are scalar-only.
  */
 
 std::vector<ICacheReplayResult>

@@ -348,6 +348,12 @@ instrShard(const InstrShard& shard)
 }
 
 void
+hierarchyShard(const HierarchyShard& shard)
+{
+    runHierarchyShardImpl(shard);
+}
+
+void
 streamBufShardScalar(const StreamBufShard& shard)
 {
     runStreamBufShardImpl<ScalarStatsProbe>(shard);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "mem/itlb.hh"
 #include "mem/streambuf.hh"
 #include "mem/threec.hh"
@@ -41,6 +42,12 @@
  *  - AVX-512 (kernels_avx512.cc): the same run-coalescing walk with
  *    512-bit probes (eight lines per compare via compare-to-mask).
  *    Gated the same way behind -mavx512f and cpuHasAvx512f().
+ *
+ * Three families are scalar-only, one implementation serving every
+ * KernelKind: the iTLB (FA-LRU-bound), the instrumented per-word walk
+ * (serial histogram updates), and the hierarchy (dependent L1 -> L2
+ * probes plus iTLB lookups; its flat per-CPU state also backs
+ * serve::ServiceModel).
  *
  * All kernels share their state layout and outer walk via
  * kernels_detail.hh / kernels_vec.hh (one template, per-width probe
@@ -244,6 +251,27 @@ void iTlbShard(const ITlbShard& shard);
  * serves every KernelKind.
  */
 void instrShard(const InstrShard& shard);
+
+/** One (cpu, config-chunk) cell of a fused hierarchy replay. */
+struct HierarchyShard
+{
+    const ResolvedTraceSoA* soa = nullptr;
+    int cpu = 0;
+    const mem::HierarchyConfig* configs = nullptr;
+    std::size_t k0 = 0;
+    std::size_t k1 = 0;
+    mem::HierarchyStats* out = nullptr;
+    /** Config-independent counts of the CPU's instruction refs. */
+    std::uint64_t* instrs = nullptr;
+    std::uint64_t* fetch_breaks = nullptr;
+};
+
+/**
+ * The hierarchy family is bound by dependent L1 -> L2 probes and
+ * FA-LRU iTLB lookups; there is no profitable vector form, so one
+ * scalar implementation serves every caller (no KernelKind dispatch).
+ */
+void hierarchyShard(const HierarchyShard& shard);
 
 void streamBufShardScalar(const StreamBufShard& shard);
 void streamBufShardAvx2(const StreamBufShard& shard);   ///< AVX2 TU

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "mem/hierarchy.hh"
+#include "program/program.hh"
 #include "sim/kernels.hh"
 #include "support/panic.hh"
 
@@ -16,7 +18,9 @@
  * Shared implementation of the fused replay kernels: state layout and
  * construction, the outer SoA walks with their fast paths, and the
  * scalar probe sets, for the i-cache, three-C, iTLB and stream-buffer
- * families. The scalar TU (kernels.cc) and the vector TUs
+ * families, plus the scalar-only instrumented and hierarchy kernels
+ * (the latter's flat state also backs serve::ServiceModel). The scalar
+ * TU (kernels.cc) and the vector TUs
  * (kernels_avx2.cc / kernels_avx512.cc via kernels_vec.hh) instantiate
  * the same templates with their probe traits, so the kernels can only
  * differ in probe arithmetic — never in state layout, walk order, or
@@ -498,30 +502,32 @@ class FlatFaLru
 
 /** Stats-only set-associative probe (no owner tags): true on hit,
  *  fills the LRU victim on miss. Same age-permutation scheme as
- *  ScalarProbe::amProbe. `tags`/`ages` point at the set. */
+ *  ScalarProbe::amProbe. `tags`/`ages` point at the set; the age type
+ *  only needs to hold assoc - 1. */
 struct ScalarStatsProbe
 {
+    template <class Age>
     static bool
-    amAccess(std::uint64_t* tags, std::uint64_t* ages,
-             std::uint32_t assoc, std::uint64_t ln)
+    amAccess(std::uint64_t* tags, Age* ages, std::uint32_t assoc,
+             std::uint64_t ln)
     {
         std::uint32_t hit = assoc;
         for (std::uint32_t w = 0; w < assoc; ++w)
             hit = tags[w] == ln ? w : hit;
         if (hit < assoc) {
-            const std::uint64_t h = ages[hit];
+            const Age h = ages[hit];
             for (std::uint32_t w = 0; w < assoc; ++w)
-                ages[w] += static_cast<std::uint64_t>(ages[w] < h);
+                ages[w] += static_cast<Age>(ages[w] < h);
             ages[hit] = 0;
             return true;
         }
-        const std::uint64_t lru = assoc - 1;
+        const Age lru = static_cast<Age>(assoc - 1);
         std::uint32_t v = 0;
         for (std::uint32_t w = 0; w < assoc; ++w)
             v = ages[w] == lru ? w : v;
         tags[v] = ln;
         for (std::uint32_t w = 0; w < assoc; ++w)
-            ages[w] += static_cast<std::uint64_t>(ages[w] < lru);
+            ages[w] += static_cast<Age>(ages[w] < lru);
         ages[v] = 0;
         return false;
     }
@@ -1285,6 +1291,277 @@ runStreamBufShardImpl(const StreamBufShard& sh)
             o.stream.misses = m.demand_misses;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Hierarchy kernel.
+//
+// Flat per-CPU state for the L1 I/D + unified L2 + iTLB hierarchy of
+// mem::MemoryHierarchy, shared by the fused hierarchy replay below and
+// by serve::ServiceModel (which adds a tenant salt and prices each
+// outcome in cycles at its call site):
+//
+//  - FlatCache: the age-permutation LRU tables of the three-C kernel
+//    (ages initialized to way index, so invalid ways fill from the
+//    highest index down, then true LRU — mem::SetAssocCache's victim
+//    order), minus owner tags, with a direct-mapped fast path.
+//
+//  - HierarchyTail::translate: FlatFaLru plus the one-entry last-page
+//    filter. mem::ITlb is an exact FA-LRU (see the iTLB kernel), and
+//    its hit sequence does not depend on which slot holds a page.
+//
+//  - Repeat line: a fetch of the line this L1 fetched last is the MRU
+//    entry of its L1I set, and (same page, nothing translated since) the
+//    MRU page of every iTLB fed only by this L1 — a hit in both with no
+//    state change, so only the access counter moves.
+//
+//  - Grouping: configs with identical l1i, l1d and page_bytes see the
+//    identical L1 access sequence, so one L1 simulation serves them
+//    all. Its misses, in trace order, feed each member's own L2, and
+//    its page changes each member's own iTLB. Fig 15's 21264 and 21364
+//    presets share L1 geometry, so their column walks L1 once.
+// ---------------------------------------------------------------------
+
+/** Stats-only set-associative LRU cache over line numbers; hit/miss
+ *  sequence identical to mem::SetAssocCache. */
+class FlatCache
+{
+  public:
+    explicit FlatCache(const mem::CacheConfig& c)
+    {
+        const std::string err = c.check();
+        SPIKESIM_ASSERT(err.empty(), "bad cache config: " << err);
+        SPIKESIM_ASSERT(c.assoc <= 255, "associativity above 255");
+        shift_ = static_cast<std::uint32_t>(
+            std::bit_width(c.line_bytes) - 1);
+        assoc_ = c.assoc;
+        set_mask_ = c.numSets() - 1;
+        tags_.assign(c.numLines(), kInvalidTag);
+        if (assoc_ > 1) {
+            ages_.resize(c.numLines());
+            for (std::size_t i = 0; i < ages_.size(); ++i)
+                ages_[i] = static_cast<std::uint8_t>(i % assoc_);
+        }
+    }
+
+    /** log2 of the line size: byte address >> shift() = line number. */
+    std::uint32_t shift() const { return shift_; }
+
+    /** Touch line number `ln`: true on hit, else fill the LRU way. */
+    bool
+    access(std::uint64_t ln)
+    {
+        const std::size_t set = ln & set_mask_;
+        if (assoc_ == 1) {
+            const bool hit = tags_[set] == ln;
+            tags_[set] = ln;
+            return hit;
+        }
+        return ScalarStatsProbe::amAccess(tags_.data() + set * assoc_,
+                                          ages_.data() + set * assoc_,
+                                          assoc_, ln);
+    }
+
+  private:
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint8_t> ages_;
+    std::uint64_t set_mask_ = 0;
+    std::uint32_t assoc_ = 1;
+    std::uint32_t shift_ = 0;
+};
+
+/** One processor's private L1 I/D pair. */
+struct HierarchyL1
+{
+    FlatCache icache;
+    FlatCache dcache;
+    std::uint64_t last_iline = kInvalidTag;
+
+    explicit HierarchyL1(const mem::HierarchyConfig& c)
+        : icache(c.l1i), dcache(c.l1d)
+    {
+    }
+
+    /** Fetch instruction line `ln`; true on hit. */
+    bool
+    fetch(std::uint64_t ln)
+    {
+        if (ln == last_iline)
+            return true; // repeat line: the set's MRU entry
+        last_iline = ln;
+        return icache.access(ln);
+    }
+};
+
+/** The unified L2 and iTLB behind one or more L1s. */
+struct HierarchyTail
+{
+    FlatCache l2;
+    FlatFaLru tlb;
+    std::uint32_t page_shift = 0;
+    std::uint64_t last_page = kInvalidTag;
+
+    explicit HierarchyTail(const mem::HierarchyConfig& c)
+        : l2(c.l2), tlb(c.itlb_entries)
+    {
+        SPIKESIM_ASSERT(c.page_bytes > 0 &&
+                            (c.page_bytes & (c.page_bytes - 1)) == 0,
+                        "page size must be a power of two");
+        page_shift =
+            static_cast<std::uint32_t>(std::bit_width(c.page_bytes) - 1);
+    }
+
+    /** Translate the page of byte address `addr`; true on hit. */
+    bool
+    translate(std::uint64_t addr)
+    {
+        const std::uint64_t page = addr >> page_shift;
+        if (page == last_page)
+            return true;
+        last_page = page;
+        return tlb.access(page);
+    }
+
+    /** Access the L2 at (pseudo-physical) byte address `paddr`. */
+    bool
+    l2Access(std::uint64_t paddr)
+    {
+        return l2.access(paddr >> l2.shift());
+    }
+};
+
+/** One config of a hierarchy group: its own L2 + iTLB and counters. */
+struct HierarchyMember
+{
+    std::size_t slot = 0;
+    HierarchyTail tail;
+    std::uint64_t l2i_misses = 0;
+    std::uint64_t l2d_misses = 0;
+    std::uint64_t itlb_misses = 0;
+
+    HierarchyMember(std::size_t s, const mem::HierarchyConfig& c)
+        : slot(s), tail(c)
+    {
+    }
+};
+
+/** The configs of a shard that share one L1 simulation. */
+struct HierarchyGroup
+{
+    const mem::HierarchyConfig* config; ///< first member's config
+    HierarchyL1 l1;
+    std::vector<HierarchyMember> members;
+    support::AccessStats l1i;
+    support::AccessStats l1d;
+
+    explicit HierarchyGroup(const mem::HierarchyConfig& c)
+        : config(&c), l1(c)
+    {
+    }
+};
+
+inline bool
+sameL1Geometry(const mem::HierarchyConfig& a,
+               const mem::HierarchyConfig& b)
+{
+    const auto same = [](const mem::CacheConfig& x,
+                         const mem::CacheConfig& y) {
+        return x.size_bytes == y.size_bytes &&
+               x.line_bytes == y.line_bytes && x.assoc == y.assoc;
+    };
+    return same(a.l1i, b.l1i) && same(a.l1d, b.l1d) &&
+           a.page_bytes == b.page_bytes;
+}
+
+inline void
+runHierarchyShardImpl(const HierarchyShard& sh)
+{
+    const ResolvedTraceSoA& soa = *sh.soa;
+    std::vector<HierarchyGroup> groups;
+    for (std::size_t k = sh.k0; k < sh.k1; ++k) {
+        HierarchyGroup* g = nullptr;
+        for (HierarchyGroup& cand : groups)
+            if (sameL1Geometry(*cand.config, sh.configs[k]))
+                g = &cand;
+        if (g == nullptr) {
+            groups.emplace_back(sh.configs[k]);
+            g = &groups.back();
+        }
+        g->members.emplace_back(k - sh.k0, sh.configs[k]);
+    }
+
+    const auto [begin, end] = soa.cpuRange(sh.cpu);
+    const std::uint64_t* addrs = soa.addr.data();
+    const std::uint32_t* sizes = soa.bytes.data();
+    const std::uint8_t* owners = soa.owner.data();
+    std::uint64_t expected = ~0ULL;
+    std::uint64_t instrs = 0;
+    std::uint64_t breaks = 0;
+
+    for (std::size_t i = begin; i < end; ++i) {
+        if (i + kRefPrefetch < end) {
+            __builtin_prefetch(addrs + i + kRefPrefetch);
+            __builtin_prefetch(sizes + i + kRefPrefetch);
+        }
+        const std::uint64_t addr = addrs[i];
+        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data)) {
+            for (HierarchyGroup& g : groups) {
+                const std::uint32_t shift = g.l1.dcache.shift();
+                const std::uint64_t ln = addr >> shift;
+                const bool hit = g.l1.dcache.access(ln);
+                g.l1d.record(!hit);
+                if (hit)
+                    continue;
+                const std::uint64_t pa =
+                    mem::pseudoPhysical(ln << shift, g.config->page_bytes);
+                for (HierarchyMember& m : g.members)
+                    m.l2d_misses += !m.tail.l2Access(pa);
+            }
+            continue;
+        }
+        const std::uint64_t last_byte = addr + sizes[i] - 1;
+        instrs += sizes[i] / program::kInstrBytes;
+        if (addr != expected)
+            ++breaks;
+        expected = last_byte + 1;
+        for (HierarchyGroup& g : groups) {
+            const std::uint32_t shift = g.l1.icache.shift();
+            std::uint64_t ln = addr >> shift;
+            const std::uint64_t ln_end = last_byte >> shift;
+            g.l1i.accesses += ln_end - ln + 1;
+            for (; ln <= ln_end; ++ln) {
+                if (ln == g.l1.last_iline)
+                    continue; // MRU in the L1I and every member iTLB
+                g.l1.last_iline = ln;
+                const std::uint64_t la = ln << shift;
+                for (HierarchyMember& m : g.members)
+                    m.itlb_misses += !m.tail.translate(la);
+                if (g.l1.icache.access(ln))
+                    continue;
+                ++g.l1i.misses;
+                const std::uint64_t pa =
+                    mem::pseudoPhysical(la, g.config->page_bytes);
+                for (HierarchyMember& m : g.members)
+                    m.l2i_misses += !m.tail.l2Access(pa);
+            }
+        }
+    }
+
+    for (const HierarchyGroup& g : groups) {
+        for (const HierarchyMember& m : g.members) {
+            mem::HierarchyStats& o = sh.out[m.slot];
+            o = mem::HierarchyStats();
+            o.l1i = g.l1i;
+            o.l1d = g.l1d;
+            o.l2i.accesses = g.l1i.misses;
+            o.l2i.misses = m.l2i_misses;
+            o.l2d.accesses = g.l1d.misses;
+            o.l2d.misses = m.l2d_misses;
+            o.itlb_misses = m.itlb_misses;
+        }
+    }
+    *sh.instrs = instrs;
+    *sh.fetch_breaks = breaks;
 }
 
 } // namespace spikesim::sim::detail

@@ -24,12 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/layout.hh"
 #include "metrics/sequence.hh"
 #include "program/builder.hh"
 #include "sim/engine.hh"
+#include "sim/timing.hh"
 #include "support/rng.hh"
 #include "support/threadpool.hh"
 
@@ -382,14 +384,49 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
     }
 }
 
+/**
+ * A hierarchy column that exercises the kernel's L1 grouping: the three
+ * platform presets (21264 and 21364 share L1 geometry), a duplicate, and
+ * small configs — sized so the random traces miss in every level — that
+ * share one L1 but differ only in L2, only in iTLB entries, or in both,
+ * plus one that differs only in page size (its own group).
+ */
+std::vector<mem::HierarchyConfig>
+hierarchyColumn()
+{
+    std::vector<mem::HierarchyConfig> col = {
+        PlatformParams::alpha21264().hierarchy,
+        PlatformParams::alpha21164().hierarchy,
+        PlatformParams::sim21364().hierarchy,
+        PlatformParams::sim21364().hierarchy,
+    };
+    mem::HierarchyConfig small;
+    small.l1i = {1024, 32, 2};
+    small.l1d = {1024, 32, 2};
+    small.l2 = {8 * 1024, 64, 4};
+    small.itlb_entries = 4;
+    small.page_bytes = 1024;
+    col.push_back(small);
+    mem::HierarchyConfig l2_only = small;
+    l2_only.l2 = {4 * 1024, 32, 1};
+    col.push_back(l2_only);
+    mem::HierarchyConfig itlb_only = small;
+    itlb_only.itlb_entries = 8;
+    col.push_back(itlb_only);
+    mem::HierarchyConfig both = small;
+    both.l2 = {16 * 1024, 128, 8};
+    both.itlb_entries = 2;
+    col.push_back(both);
+    mem::HierarchyConfig page = small;
+    page.page_bytes = 2048;
+    col.push_back(page);
+    return col;
+}
+
 TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
 {
     Pools pools;
-    std::vector<mem::HierarchyConfig> configs(2);
-    configs[1].l1i = {8 * 1024, 32, 1};
-    configs[1].l1d = {8 * 1024, 32, 1};
-    configs[1].l2 = {2 * 1024 * 1024, 64, 1};
-    configs[1].itlb_entries = 48;
+    const std::vector<mem::HierarchyConfig> configs = hierarchyColumn();
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 500 + static_cast<std::uint32_t>(cpus));
         for (bool coherence : {false, true}) {
@@ -405,23 +442,29 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
                 for (std::size_t i = 0; i < configs.size(); ++i) {
                     auto r = w.rep.hierarchy(configs[i], true,
                                              coherence);
-                    expectStatsEq(col[i].total, r.total, "total");
+                    const std::string what =
+                        "cpus " + std::to_string(cpus) + " cfg " +
+                        std::to_string(i) + (coherence ? " +coh" : "");
+                    expectStatsEq(col[i].total, r.total,
+                                  ("total " + what).c_str());
                     ASSERT_EQ(col[i].per_cpu.size(),
                               r.per_cpu.size());
                     for (std::size_t c = 0; c < r.per_cpu.size(); ++c)
                         expectStatsEq(col[i].per_cpu[c], r.per_cpu[c],
-                                      "per_cpu");
-                    EXPECT_EQ(col[i].instrs, r.instrs);
-                    EXPECT_EQ(col[i].fetch_breaks, r.fetch_breaks);
+                                      ("per_cpu " + what).c_str());
+                    EXPECT_EQ(col[i].instrs, r.instrs) << what;
+                    EXPECT_EQ(col[i].fetch_breaks, r.fetch_breaks) << what;
                     expectStatsEq(col_soa[i].total, r.total,
-                                  "soa total");
+                                  ("soa total " + what).c_str());
                     ASSERT_EQ(col_soa[i].per_cpu.size(),
                               r.per_cpu.size());
                     for (std::size_t c = 0; c < r.per_cpu.size(); ++c)
                         expectStatsEq(col_soa[i].per_cpu[c],
-                                      r.per_cpu[c], "soa per_cpu");
-                    EXPECT_EQ(col_soa[i].instrs, r.instrs);
-                    EXPECT_EQ(col_soa[i].fetch_breaks, r.fetch_breaks);
+                                      r.per_cpu[c],
+                                      ("soa per_cpu " + what).c_str());
+                    EXPECT_EQ(col_soa[i].instrs, r.instrs) << what;
+                    EXPECT_EQ(col_soa[i].fetch_breaks, r.fetch_breaks)
+                        << what;
                 }
             }
         }

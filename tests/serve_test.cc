@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "core/pipeline.hh"
+#include "mem/cache.hh"
+#include "mem/hierarchy.hh"
+#include "mem/itlb.hh"
 #include "serve/arrival.hh"
 #include "serve/queueing.hh"
 #include "serve/service.hh"
@@ -374,6 +379,208 @@ TEST(ServiceModel, SoloMatchesReplayerHierarchy)
     EXPECT_EQ(st.requests, per_req.size());
     EXPECT_EQ(st.total_cycles, summed);
     EXPECT_GT(st.requests, 10u);
+}
+
+/** Output of the reference service-time walk. */
+struct ReferenceService
+{
+    std::vector<std::uint64_t> cycles;
+    serve::ServiceStats stats;
+};
+
+/**
+ * Reference service-time walk over the mem:: simulator objects: private
+ * L1 I/D per (tenant, cpu), shared L2 + iTLB per cpu, tenant salt at
+ * bit 44, and per-request cycles summed in access order. The
+ * ServiceModel must reproduce it byte for byte.
+ */
+ReferenceService
+referenceService(const trace::TraceBuffer& trace, const core::Layout& app,
+                 const core::Layout* kernel,
+                 const serve::ServiceModelConfig& config)
+{
+    const sim::PlatformParams& p = config.platform;
+    const mem::HierarchyConfig& h = p.hierarchy;
+    const std::size_t ncpus = static_cast<std::size_t>(trace.numCpus());
+    const std::size_t tenants = static_cast<std::size_t>(config.tenants);
+    const auto segs = serve::ServiceModel::segments(trace);
+    const auto events = trace.events();
+
+    std::vector<mem::SetAssocCache> l1i(tenants * ncpus,
+                                        mem::SetAssocCache(h.l1i));
+    std::vector<mem::SetAssocCache> l1d(tenants * ncpus,
+                                        mem::SetAssocCache(h.l1d));
+    std::vector<mem::SetAssocCache> l2(ncpus, mem::SetAssocCache(h.l2));
+    std::vector<mem::ITlb> itlb;
+    for (std::size_t i = 0; i < ncpus; ++i)
+        itlb.emplace_back(h.itlb_entries, h.page_bytes);
+    std::vector<std::uint64_t> expected(tenants * ncpus, ~0ULL);
+    const std::uint64_t iline = h.l1i.line_bytes;
+    const std::uint64_t dline = h.l1d.line_bytes;
+
+    ReferenceService out;
+    serve::ServiceStats& st = out.stats;
+    for (std::size_t g = 0; g < segs.size() * tenants; ++g) {
+        const std::size_t t = g % tenants;
+        const auto [seg_begin, seg_end] = segs[g / tenants];
+        const std::uint64_t salt = static_cast<std::uint64_t>(t) << 44;
+        double c = 0.0;
+        for (std::size_t i = seg_begin; i < seg_end; ++i) {
+            const trace::TraceEvent& e = events[i];
+            const std::size_t tc = t * ncpus + e.cpu;
+            if (e.image == trace::ImageId::Data) {
+                if (!config.include_data)
+                    continue;
+                const std::uint64_t line =
+                    (static_cast<std::uint64_t>(e.block) << 2) &
+                    ~(dline - 1);
+                if (l1d[tc].access(line, mem::Owner::Data).hit) {
+                    st.mem.l1d.record(false);
+                    continue;
+                }
+                st.mem.l1d.record(true);
+                c += p.l2_hit_cycles;
+                const bool miss =
+                    !l2[e.cpu]
+                         .access(mem::pseudoPhysical(line + salt,
+                                                     h.page_bytes),
+                                 mem::Owner::Data)
+                         .hit;
+                st.mem.l2d.record(miss);
+                if (miss)
+                    c += p.mem_cycles;
+                continue;
+            }
+            const core::Layout& layout =
+                e.image == trace::ImageId::App ? app : *kernel;
+            const std::uint64_t bytes = layout.blockBytes(e.block);
+            if (bytes == 0)
+                continue;
+            const std::uint64_t addr = layout.blockAddr(e.block);
+            const std::uint64_t end = addr + bytes;
+            const std::uint64_t instrs = layout.blockSize(e.block);
+            st.instrs += instrs;
+            c += static_cast<double>(instrs) * p.cpi_base;
+            if (addr != expected[tc]) {
+                ++st.fetch_breaks;
+                c += p.fetch_break_cycles;
+            }
+            expected[tc] = end;
+            const mem::Owner owner = e.image == trace::ImageId::App
+                                         ? mem::Owner::App
+                                         : mem::Owner::Kernel;
+            for (std::uint64_t a = addr & ~(iline - 1); a < end;
+                 a += iline) {
+                if (!itlb[e.cpu].access(a + salt)) {
+                    ++st.mem.itlb_misses;
+                    c += p.itlb_cycles;
+                }
+                if (l1i[tc].access(a, owner).hit) {
+                    st.mem.l1i.record(false);
+                    continue;
+                }
+                st.mem.l1i.record(true);
+                c += p.l2_hit_cycles;
+                const bool miss =
+                    !l2[e.cpu]
+                         .access(mem::pseudoPhysical(a + salt,
+                                                     h.page_bytes),
+                                 owner)
+                         .hit;
+                st.mem.l2i.record(miss);
+                if (miss)
+                    c += p.mem_cycles;
+            }
+        }
+        out.cycles.push_back(static_cast<std::uint64_t>(c));
+    }
+
+    st.requests = out.cycles.size();
+    std::vector<std::uint64_t> sorted = out.cycles;
+    std::sort(sorted.begin(), sorted.end());
+    if (!sorted.empty()) {
+        st.min_cycles = sorted.front();
+        st.max_cycles = sorted.back();
+        for (std::uint64_t v : sorted)
+            st.total_cycles += v;
+        st.mean_cycles = static_cast<double>(st.total_cycles) /
+                         static_cast<double>(sorted.size());
+        st.p50_cycles = serve::percentileSorted(sorted, 0.50);
+        st.p99_cycles = serve::percentileSorted(sorted, 0.99);
+    }
+    return out;
+}
+
+void
+expectHierarchyStatsEq(const mem::HierarchyStats& a,
+                       const mem::HierarchyStats& b, const std::string& what)
+{
+    EXPECT_EQ(a.l1i.accesses, b.l1i.accesses) << what;
+    EXPECT_EQ(a.l1i.misses, b.l1i.misses) << what;
+    EXPECT_EQ(a.l1d.accesses, b.l1d.accesses) << what;
+    EXPECT_EQ(a.l1d.misses, b.l1d.misses) << what;
+    EXPECT_EQ(a.l2i.accesses, b.l2i.accesses) << what;
+    EXPECT_EQ(a.l2i.misses, b.l2i.misses) << what;
+    EXPECT_EQ(a.l2d.accesses, b.l2d.accesses) << what;
+    EXPECT_EQ(a.l2d.misses, b.l2d.misses) << what;
+    EXPECT_EQ(a.itlb_misses, b.itlb_misses) << what;
+    EXPECT_EQ(a.comm_misses, b.comm_misses) << what;
+}
+
+TEST(ServiceModel, MatchesReferenceWalkByteForByte)
+{
+    sim::System sys(smallSystem());
+    sys.setup();
+    sys.warmup(10);
+    trace::TraceBuffer buf;
+    sys.run(15, buf);
+
+    core::Layout app = core::baselineLayout(
+        sys.appProg(), sys.config().app_text_base);
+    core::Layout kern = core::baselineLayout(
+        sys.kernelProg(), sys.config().kernel_text_base);
+
+    // Non-integer weights pin the per-request double accumulation order.
+    sim::PlatformParams fractional = sim::PlatformParams::sim21364();
+    fractional.name = "fractional";
+    fractional.cpi_base = 1.25;
+    fractional.l2_hit_cycles = 12.3;
+    fractional.mem_cycles = 80.7;
+    fractional.itlb_cycles = 30.1;
+    fractional.fetch_break_cycles = 2.5;
+    const sim::PlatformParams platforms[] = {
+        sim::PlatformParams::sim21364(),
+        sim::PlatformParams::alpha21164(), // direct-mapped 32B L1s
+        fractional};
+
+    for (const sim::PlatformParams& platform : platforms) {
+        for (int tenants : {1, 2, 3}) {
+            for (bool data : {true, false}) {
+                serve::ServiceModelConfig smc;
+                smc.platform = platform;
+                smc.tenants = tenants;
+                smc.include_data = data;
+                const std::string what =
+                    platform.name + " tenants " + std::to_string(tenants) +
+                    (data ? " +data" : "");
+                const ReferenceService ref =
+                    referenceService(buf, app, &kern, smc);
+                const serve::ServiceModel model(buf, app, &kern, smc);
+                EXPECT_EQ(model.requestCycles(), ref.cycles) << what;
+                const serve::ServiceStats& st = model.stats();
+                EXPECT_EQ(st.requests, ref.stats.requests) << what;
+                EXPECT_EQ(st.total_cycles, ref.stats.total_cycles) << what;
+                EXPECT_EQ(st.min_cycles, ref.stats.min_cycles) << what;
+                EXPECT_EQ(st.max_cycles, ref.stats.max_cycles) << what;
+                EXPECT_EQ(st.mean_cycles, ref.stats.mean_cycles) << what;
+                EXPECT_EQ(st.p50_cycles, ref.stats.p50_cycles) << what;
+                EXPECT_EQ(st.p99_cycles, ref.stats.p99_cycles) << what;
+                EXPECT_EQ(st.instrs, ref.stats.instrs) << what;
+                EXPECT_EQ(st.fetch_breaks, ref.stats.fetch_breaks) << what;
+                expectHierarchyStatsEq(st.mem, ref.stats.mem, what);
+            }
+        }
+    }
 }
 
 TEST(ServiceModel, TenantsShareL2AndInflateService)
