@@ -147,40 +147,69 @@ Layout::Layout(const program::Program& prog,
                         "CFA area must be smaller than the cache");
         const std::uint64_t row = opts.cfa_cache_bytes;
         const std::uint64_t hot_sz = opts.cfa_bytes;
-        std::uint64_t hot_cur = text_base_;
-        std::uint64_t cold_cur = text_base_ + hot_sz;
+        // One cursor per stream. `cur` is where the stream's next
+        // segment may start; `end` is one past the last byte it placed.
+        struct Stream
+        {
+            std::uint64_t win_off;
+            std::uint64_t win_len;
+            std::uint64_t cur;
+            std::uint64_t end;
+        };
+        Stream hot_s{0, hot_sz, text_base_, text_base_};
+        Stream cold_s{hot_sz, row - hot_sz, text_base_ + hot_sz,
+                      text_base_};
+        // First address at or after `a` inside one of s's windows.
+        const auto windowAt = [&](const Stream& s, std::uint64_t a) {
+            const std::uint64_t r = (a - text_base_) / row;
+            const std::uint64_t off = (a - text_base_) % row;
+            if (off < s.win_off)
+                return text_base_ + r * row + s.win_off;
+            if (off < s.win_off + s.win_len)
+                return a;
+            return text_base_ + (r + 1) * row + s.win_off;
+        };
         auto place = [&](const CodeSegment& seg, bool hot) {
-            std::uint64_t& cur = hot ? hot_cur : cold_cur;
-            std::uint64_t win_off = hot ? 0 : hot_sz;
-            std::uint64_t win_len = hot ? hot_sz : row - hot_sz;
+            Stream& s = hot ? hot_s : cold_s;
+            Stream& other = hot ? cold_s : hot_s;
             std::uint64_t bytes = 0;
             for (BlockLocalId b : seg.blocks)
                 bytes += static_cast<std::uint64_t>(
                              size_[prog.globalBlockId(seg.proc, b)]) *
                          kInstrBytes;
             // Jump to the next window if the segment does not fit the
-            // remainder of this one (unless it can never fit a window,
-            // in which case place it anyway and let it spill -- this is
-            // how oversized traces defeat the CFA, per the paper).
-            std::uint64_t in_win = (cur - text_base_) % row - win_off;
-            std::uint64_t left = win_len - in_win;
-            if (bytes > left && bytes <= win_len) {
-                std::uint64_t next_win =
-                    ((cur - text_base_) / row + 1) * row + win_off;
-                padding_bytes_ += text_base_ + next_win - cur;
-                cur = text_base_ + next_win;
+            // remainder of this one. A segment that can never fit a
+            // window is placed anyway and spills into the other
+            // stream's rows -- this is how oversized traces defeat the
+            // CFA, per the paper -- but only past everything the other
+            // stream has placed, and the other stream then resumes
+            // past the spill, so no byte is handed out twice.
+            std::uint64_t start = windowAt(s, s.cur);
+            const std::uint64_t in_win = (start - text_base_) % row -
+                                         s.win_off;
+            if (bytes > s.win_len - in_win) {
+                if (bytes <= s.win_len)
+                    start = windowAt(s, start + (s.win_len - in_win));
+                else if (other.end > start)
+                    start = windowAt(s, other.end);
             }
+            padding_bytes_ += start - s.cur;
+            std::uint64_t cur = start;
             for (BlockLocalId b : seg.blocks) {
                 GlobalBlockId g = prog.globalBlockId(seg.proc, b);
                 addr_[g] = cur;
                 cur += static_cast<std::uint64_t>(size_[g]) * kInstrBytes;
             }
+            s.cur = cur;
+            s.end = std::max(s.end, cur);
+            if (bytes > s.win_len)
+                other.cur = std::max(other.cur, cur);
         };
         for (std::size_t s = 0; s < segments_.size(); ++s) {
             bool hot = !hot_flags.empty() && hot_flags[s];
             place(segments_[s], hot);
         }
-        text_limit_ = std::max(hot_cur, cold_cur);
+        text_limit_ = std::max(hot_s.cur, cold_s.cur);
     } else {
         std::uint64_t cur = text_base_;
         for (const CodeSegment& seg : segments_) {

@@ -2,6 +2,7 @@
 #define SPIKESIM_CORE_LAYOUT_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,14 @@ class Layout
      * branch-only block whose branch was deleted.
      */
     std::uint32_t blockSize(program::GlobalBlockId g) const;
+
+    /** Start addresses indexed by global block id: blockAddr() for
+     *  every block at once, for walks that gather per trace ref. */
+    std::span<const std::uint64_t> blockAddrs() const { return addr_; }
+
+    /** Layout-adjusted sizes in instructions indexed by global block
+     *  id (blockSize() for every block at once). */
+    std::span<const std::uint32_t> blockSizes() const { return size_; }
 
     /** Block size in bytes. */
     std::uint64_t

@@ -4,13 +4,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <unordered_map>
 
 #include "core/split.hh"
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
 #include "opt/hierarchy.hh"
-#include "sim/engine.hh"
+#include "sim/price.hh"
 #include "support/panic.hh"
 
 namespace spikesim::opt {
@@ -38,8 +39,9 @@ struct GtResult
     std::uint64_t itlb2m = 0;
 };
 
-/** Ground-truth evaluator: engine replay on the recorded trace with a
- *  fingerprint-keyed result cache. */
+/** Ground-truth evaluator: each uncached candidate is priced on the
+ *  search's block stream (built once, here) with a fingerprint-keyed
+ *  result cache. */
 class GroundTruth
 {
   public:
@@ -47,13 +49,15 @@ class GroundTruth
                 const program::Program& prog,
                 const core::AssignOptions& aopts,
                 const core::Layout* kernel, const SearchOptions& sopts)
-        : trace_(trace),
-          prog_(prog),
+        : prog_(prog),
           aopts_(aopts),
           kernel_(kernel),
-          config_(sopts.rerank_config),
-          filter_(sopts.filter)
+          config_(sopts.rerank_config)
     {
+        if (trace != nullptr && sopts.rerank_every > 0) {
+            obs::Span span("search.block_stream", "opt");
+            stream_ = sim::buildBlockStream(*trace, sopts.filter);
+        }
         if (sopts.page.enabled)
             specs_ = {{sopts.page.itlb_entries, 4096,
                        sopts.rerank_config.line_bytes},
@@ -61,8 +65,8 @@ class GroundTruth
                        sopts.rerank_config.line_bytes}};
     }
 
-    /** Measurements for every entry (cached or freshly replayed;
-     *  uncached entries replay concurrently on the pool). */
+    /** Measurements for every entry (cached or freshly priced;
+     *  uncached entries are priced concurrently on the pool). */
     std::vector<GtResult>
     evaluate(const std::vector<const ScoredCandidate*>& entries,
              support::ThreadPool* pool)
@@ -78,28 +82,30 @@ class GroundTruth
                 todo.push_back(i);
             }
         }
-        SPIKESIM_ASSERT(trace_ != nullptr || todo.empty(),
+        SPIKESIM_ASSERT(stream_.has_value() || todo.empty(),
                         "ground-truth evaluation needs a trace");
-        auto replay = [&](std::size_t i) {
+        static obs::Counter& c_priced_refs =
+            obs::counter("opt.search.priced_refs");
+        auto price = [&](std::size_t i) {
+            obs::Span span("search.price", "opt");
             const core::Layout layout =
                 materialize(entries[i]->cand, prog_, aopts_);
-            const sim::Replayer rep(*trace_, layout, kernel_);
-            const sim::ResolvedTrace rt = rep.resolve(filter_);
-            out[i].misses =
-                sim::replayICache(rt, {&config_, 1}, nullptr)[0].misses;
+            const sim::LayoutPrice p = sim::priceLayout(
+                *stream_, layout, kernel_, config_, specs_);
+            out[i].misses = p.icache.misses;
             if (!specs_.empty()) {
-                const auto tlb = sim::replayITlb(rt, specs_, nullptr);
-                out[i].itlb4k = tlb[0].misses;
-                out[i].itlb2m = tlb[1].misses;
+                out[i].itlb4k = p.itlb[0].misses;
+                out[i].itlb2m = p.itlb[1].misses;
             }
+            c_priced_refs.add(stream_->size());
         };
         if (pool != nullptr && todo.size() > 1) {
             for (std::size_t i : todo)
-                pool->submit([&replay, i] { replay(i); });
+                pool->submit([&price, i] { price(i); });
             pool->wait();
         } else {
             for (std::size_t i : todo)
-                replay(i);
+                price(i);
         }
         for (std::size_t i : todo)
             cache_.emplace(entries[i]->fp, out[i]);
@@ -111,12 +117,11 @@ class GroundTruth
     std::uint64_t hits() const { return hits_; }
 
   private:
-    const trace::TraceBuffer* trace_;
     const program::Program& prog_;
     core::AssignOptions aopts_;
     const core::Layout* kernel_;
     mem::CacheConfig config_;
-    sim::StreamFilter filter_;
+    std::optional<sim::BlockStream> stream_;
     std::vector<sim::ITlbSpec> specs_;
     std::unordered_map<std::uint64_t, GtResult> cache_;
     std::uint64_t evals_ = 0;

@@ -30,12 +30,13 @@
  *     simulated annealing with a geometric temperature schedule.
  *   - Every `rerank_every` epochs (and once at the end), the survivors
  *     — seed, incumbent, proxy-best, and the top of the current batch
- *     — are re-ranked against ground truth: each candidate's layout is
- *     resolved and replayed through the sim/engine i-cache path on the
- *     recorded trace, with results cached by candidate fingerprint so
- *     a layout is never replayed twice. The returned layout is the
- *     ground-truth winner, which by construction is never worse than
- *     the seed on the re-rank cache configuration.
+ *     — are re-ranked against ground truth. The recorded trace is
+ *     reduced once per search to a layout-independent block stream
+ *     (sim/price.hh); each candidate's layout is priced on it in one
+ *     fused i-cache + iTLB walk, with results cached by candidate
+ *     fingerprint so a layout is never priced twice. The returned
+ *     layout is the ground-truth winner, which by construction is
+ *     never worse than the seed on the re-rank cache configuration.
  *
  * This is the first subsystem where the simulator runs *inside* the
  * optimizer loop rather than only after it.
@@ -78,7 +79,7 @@ struct SearchOptions
     /** Cache configuration ground truth is measured on (the paper's
      *  Figure 7 setup: 64KB, 128B lines, 4-way). */
     mem::CacheConfig rerank_config{64 * 1024, 128, 4};
-    /** Stream replayed for ground truth. */
+    /** Stream priced for ground truth. */
     sim::StreamFilter filter = sim::StreamFilter::AppOnly;
 
     ExtTspParams exttsp;

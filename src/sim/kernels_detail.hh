@@ -775,6 +775,18 @@ struct ITlbMember
         : slot(s), page_shift(ps), tlb(entries)
     {
     }
+
+    /** Look up the page of line address `la` behind the last-page
+     *  filter, counting a miss. */
+    void
+    translate(std::uint64_t la)
+    {
+        const std::uint64_t page = la >> page_shift;
+        if (page == last_page)
+            return;
+        last_page = page;
+        misses += !tlb.access(page);
+    }
 };
 
 /** All iTLB specs sharing one fetch granularity. */
@@ -785,15 +797,36 @@ struct ITlbGroup
     std::vector<ITlbMember> members;
     std::uint64_t line_steps = 0;
     std::uint64_t last_line = kInvalidTag;
+
+    /** Fetch the byte range [addr, last_byte]: one lookup per line
+     *  step, except that a repeat of the last fetched line is the MRU
+     *  page of every member (a hit with no state change). */
+    void
+    walk(std::uint64_t addr, std::uint64_t last_byte)
+    {
+        std::uint64_t ln = addr >> shift;
+        const std::uint64_t ln_end = last_byte >> shift;
+        line_steps += ln_end - ln + 1;
+        std::uint64_t last = last_line;
+        for (; ln <= ln_end; ++ln) {
+            if (ln == last)
+                continue;
+            last = ln;
+            for (ITlbMember& m : members)
+                m.translate(ln << shift);
+        }
+        last_line = last;
+    }
 };
 
-inline void
-runITlbShardImpl(const ITlbShard& sh)
+/** Group specs [k0, k1) by fetch granularity; member slots are
+ *  relative to k0. */
+inline std::vector<ITlbGroup>
+buildITlbGroups(const ITlbSpec* specs, std::size_t k0, std::size_t k1)
 {
-    const ResolvedTraceSoA& soa = *sh.soa;
     std::vector<ITlbGroup> groups;
-    for (std::size_t k = sh.k0; k < sh.k1; ++k) {
-        const ITlbSpec& spec = sh.specs[k];
+    for (std::size_t k = k0; k < k1; ++k) {
+        const ITlbSpec& spec = specs[k];
         SPIKESIM_ASSERT(spec.fetch_bytes > 0 &&
                             (spec.fetch_bytes &
                              (spec.fetch_bytes - 1)) == 0,
@@ -814,11 +847,33 @@ runITlbShardImpl(const ITlbShard& sh)
                 std::bit_width(spec.fetch_bytes) - 1);
         }
         g->members.emplace_back(
-            k - sh.k0,
+            k - k0,
             static_cast<std::uint32_t>(
                 std::bit_width(spec.page_bytes) - 1),
             spec.entries);
     }
+    return groups;
+}
+
+/** Write every member's result into out[slot] (overwriting). */
+inline void
+foldITlbGroups(const std::vector<ITlbGroup>& groups, ITlbReplayResult* out)
+{
+    for (const ITlbGroup& g : groups) {
+        for (const ITlbMember& m : g.members) {
+            ITlbReplayResult& o = out[m.slot];
+            o = ITlbReplayResult();
+            o.accesses = g.line_steps;
+            o.misses = m.misses;
+        }
+    }
+}
+
+inline void
+runITlbShardImpl(const ITlbShard& sh)
+{
+    const ResolvedTraceSoA& soa = *sh.soa;
+    std::vector<ITlbGroup> groups = buildITlbGroups(sh.specs, sh.k0, sh.k1);
 
     const auto [begin, end] = soa.cpuRange(sh.cpu);
     const std::uint64_t* addrs = soa.addr.data();
@@ -834,37 +889,11 @@ runITlbShardImpl(const ITlbShard& sh)
             continue;
         const std::uint64_t addr = addrs[i];
         const std::uint64_t last_byte = addr + sizes[i] - 1;
-        for (ITlbGroup& g : groups) {
-            std::uint64_t ln = addr >> g.shift;
-            const std::uint64_t ln_end = last_byte >> g.shift;
-            g.line_steps += ln_end - ln + 1;
-            std::uint64_t last = g.last_line;
-            for (; ln <= ln_end; ++ln) {
-                if (ln == last)
-                    continue;
-                last = ln;
-                const std::uint64_t la = ln << g.shift;
-                for (ITlbMember& m : g.members) {
-                    const std::uint64_t page = la >> m.page_shift;
-                    if (page == m.last_page)
-                        continue;
-                    m.last_page = page;
-                    if (!m.tlb.access(page))
-                        ++m.misses;
-                }
-            }
-            g.last_line = last;
-        }
+        for (ITlbGroup& g : groups)
+            g.walk(addr, last_byte);
     }
 
-    for (const ITlbGroup& g : groups) {
-        for (const ITlbMember& m : g.members) {
-            ITlbReplayResult& o = sh.out[m.slot];
-            o = ITlbReplayResult();
-            o.accesses = g.line_steps;
-            o.misses = m.misses;
-        }
-    }
+    foldITlbGroups(groups, sh.out);
 }
 
 // ---------------------------------------------------------------------
@@ -1562,6 +1591,98 @@ runHierarchyShardImpl(const HierarchyShard& sh)
     }
     *sh.instrs = instrs;
     *sh.fetch_breaks = breaks;
+}
+
+// ---------------------------------------------------------------------
+// Layout pricing kernel.
+//
+// Prices one candidate layout on one CPU's slice of a BlockStream (see
+// sim/soa.hh) in a single walk: each tagged block id gathers its
+// (addr, size) from the layout's block tables, zero-sized blocks are
+// skipped, and every remaining ref feeds one stats-only FlatCache plus
+// the iTLB groups. The cache follows the i-cache kernel's repeat-line
+// rule (a repeat of the last fetched line is its set's MRU entry: a
+// hit with no state change) and each iTLB group its own, exactly as
+// runITlbShardImpl. An iTLB group whose fetch granularity equals the
+// cache line sees the cache's line sequence, so it is fed from inside
+// the cache's line loop instead of re-walking the ref.
+// ---------------------------------------------------------------------
+
+/** One image's block tables under a layout, by global block id. */
+struct PriceImage
+{
+    const std::uint64_t* addr = nullptr;
+    const std::uint32_t* size = nullptr; ///< instructions
+};
+
+/** One CPU's pricing walk: inputs, and outputs written (not summed). */
+struct PriceShard
+{
+    const std::uint32_t* ids = nullptr;
+    std::size_t n = 0;
+    PriceImage app;
+    PriceImage kernel;
+    const mem::CacheConfig* config = nullptr;
+    const ITlbSpec* specs = nullptr;
+    std::size_t n_specs = 0;
+    support::AccessStats* icache = nullptr;
+    ITlbReplayResult* itlb = nullptr; ///< n_specs results
+};
+
+inline void
+runPriceImpl(const PriceShard& sh)
+{
+    FlatCache cache(*sh.config);
+    const std::uint32_t shift = cache.shift();
+    std::vector<ITlbGroup> groups =
+        buildITlbGroups(sh.specs, 0, sh.n_specs);
+    ITlbGroup* same = nullptr;
+    std::vector<ITlbGroup*> others;
+    for (ITlbGroup& g : groups) {
+        if (g.shift == shift)
+            same = &g;
+        else
+            others.push_back(&g);
+    }
+
+    std::uint64_t last = kInvalidTag;
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    for (std::size_t i = 0; i < sh.n; ++i) {
+        const std::uint32_t id = sh.ids[i];
+        const PriceImage& img =
+            (id & kKernelBlockTag) != 0 ? sh.kernel : sh.app;
+        const std::uint32_t g = id & ~kKernelBlockTag;
+        const std::uint32_t size = img.size[g];
+        if (size == 0)
+            continue;
+        const std::uint64_t addr = img.addr[g];
+        const std::uint64_t last_byte =
+            addr + static_cast<std::uint64_t>(size) * program::kInstrBytes -
+            1;
+        std::uint64_t ln = addr >> shift;
+        const std::uint64_t ln_end = last_byte >> shift;
+        accesses += ln_end - ln + 1;
+        for (; ln <= ln_end; ++ln) {
+            if (ln == last)
+                continue;
+            last = ln;
+            misses += !cache.access(ln);
+            if (same != nullptr)
+                for (ITlbMember& m : same->members)
+                    m.translate(ln << shift);
+        }
+        for (ITlbGroup* o : others)
+            o->walk(addr, last_byte);
+    }
+    if (same != nullptr) {
+        same->line_steps = accesses;
+        same->last_line = last;
+    }
+
+    sh.icache->accesses = accesses;
+    sh.icache->misses = misses;
+    foldITlbGroups(groups, sh.itlb);
 }
 
 } // namespace spikesim::sim::detail

@@ -16,20 +16,6 @@ using trace::TraceEvent;
 
 namespace {
 
-bool
-wantImage(StreamFilter filter, ImageId image)
-{
-    switch (filter) {
-      case StreamFilter::AppOnly:
-        return image == ImageId::App;
-      case StreamFilter::KernelOnly:
-        return image == ImageId::Kernel;
-      case StreamFilter::Combined:
-        return image == ImageId::App || image == ImageId::Kernel;
-    }
-    return false;
-}
-
 mem::Owner
 ownerOf(ImageId image)
 {

@@ -35,6 +35,22 @@ enum class StreamFilter {
     Combined,
 };
 
+/** True when `filter` replays block events of `image` (never Data). */
+inline bool
+wantImage(StreamFilter filter, trace::ImageId image)
+{
+    switch (filter) {
+      case StreamFilter::AppOnly:
+        return image == trace::ImageId::App;
+      case StreamFilter::KernelOnly:
+        return image == trace::ImageId::Kernel;
+      case StreamFilter::Combined:
+        return image == trace::ImageId::App ||
+               image == trace::ImageId::Kernel;
+    }
+    return false;
+}
+
 /** Flag bits on a ResolvedRef. */
 inline constexpr std::uint8_t kRefRunBreak = 1;
 

@@ -131,6 +131,44 @@ struct ResolvedTraceSoA
     }
 };
 
+/** Tag bit on a BlockStream id: the ref belongs to the kernel image. */
+inline constexpr std::uint32_t kKernelBlockTag = 1u << 31;
+
+/**
+ * The layout-independent half of a resolved trace: for one
+ * StreamFilter, each CPU's block events as global block ids in trace
+ * order, kernel-image refs tagged with kKernelBlockTag. Data events
+ * and filtered-out images are dropped. Zero-sized blocks are kept,
+ * because whether a block has bytes depends on the layout; a pricing
+ * walk (sim/price.hh) gathers each ref's (addr, size) from a
+ * candidate layout's tables and skips the empty ones, as
+ * Replayer::resolveSoA does.
+ */
+struct BlockStream
+{
+    /** Tagged block ids, grouped by CPU (exact size). */
+    Column<std::uint32_t> ids;
+    /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]). */
+    std::vector<std::size_t> cpu_begin;
+    int num_cpus = 1;
+    /** One past the largest app / kernel block id referenced (0 when
+     *  the image has no refs): the block tables a layout must cover. */
+    std::uint32_t app_blocks = 0;
+    std::uint32_t kernel_blocks = 0;
+
+    std::size_t size() const { return ids.size(); }
+
+    /** [begin, end) index range owned by `cpu`. */
+    std::pair<std::size_t, std::size_t>
+    cpuRange(int cpu) const
+    {
+        if (cpu < 0 || cpu + 1 >= static_cast<int>(cpu_begin.size()))
+            return {0, 0};
+        return {cpu_begin[static_cast<std::size_t>(cpu)],
+                cpu_begin[static_cast<std::size_t>(cpu) + 1]};
+    }
+};
+
 /** Transpose a resolved trace into columns (one linear pass). */
 ResolvedTraceSoA toSoA(const ResolvedTrace& trace);
 

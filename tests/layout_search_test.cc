@@ -7,6 +7,7 @@
 #include "opt/perturb.hh"
 #include "opt/search.hh"
 #include "profile/profile.hh"
+#include "support/checksum.hh"
 #include "support/threadpool.hh"
 #include "synth/synthprog.hh"
 #include "synth/walker.hh"
@@ -96,6 +97,124 @@ TEST(LayoutSearch, SameSeedIsByteIdenticalAcrossPoolWidths)
     EXPECT_EQ(serial.epoch_best, pooled.epoch_best);
     EXPECT_EQ(serial.best_misses, pooled.best_misses);
     EXPECT_EQ(serial.seed_misses, pooled.seed_misses);
+}
+
+/** A small page-aware budget: hot/cold + hierarchical seeds, region
+ *  operators, and the combined icache + iTLB objective. */
+SearchOptions
+pageBudget(std::uint64_t seed)
+{
+    SearchOptions sopts = smallBudget(seed);
+    sopts.epochs = 12;
+    // A cache and iTLB small enough for this trace that the search
+    // moves both metrics away from the seed.
+    sopts.rerank_config = {8 * 1024, 128, 4};
+    sopts.page.enabled = true;
+    sopts.page.hot_threshold = 4;
+    sopts.page.itlb4k_weight = 2.0;
+    sopts.page.itlb2m_weight = 10.0;
+    sopts.page.itlb_entries = 4;
+    return sopts;
+}
+
+std::uint64_t
+addressMapHash(const core::Layout& layout, const program::Program& prog)
+{
+    support::Fnv1a64 h;
+    for (std::uint64_t a : addressMap(layout, prog))
+        h.update64(a);
+    for (program::GlobalBlockId g = 0; g < prog.numBlocks(); ++g)
+        h.update64(layout.blockSize(g));
+    return h.digest();
+}
+
+/** Everything a page-mode search reports that ground truth decides. */
+void
+expectSameAudit(const SearchResult& a, const SearchResult& b,
+                const program::Program& prog)
+{
+    EXPECT_EQ(addressMapHash(a.layout, prog),
+              addressMapHash(b.layout, prog));
+    EXPECT_EQ(a.best_score, b.best_score);
+    EXPECT_EQ(a.epoch_best, b.epoch_best);
+    EXPECT_EQ(a.seed_misses, b.seed_misses);
+    EXPECT_EQ(a.best_misses, b.best_misses);
+    EXPECT_EQ(a.seed_itlb4k, b.seed_itlb4k);
+    EXPECT_EQ(a.best_itlb4k, b.best_itlb4k);
+    EXPECT_EQ(a.seed_itlb2m, b.seed_itlb2m);
+    EXPECT_EQ(a.best_itlb2m, b.best_itlb2m);
+    EXPECT_EQ(a.seed_objective, b.seed_objective);
+    EXPECT_EQ(a.best_objective, b.best_objective);
+    EXPECT_EQ(a.sim_evals, b.sim_evals);
+    EXPECT_EQ(a.sim_cache_hits, b.sim_cache_hits);
+    ASSERT_EQ(a.rerank_curve.size(), b.rerank_curve.size());
+    for (std::size_t i = 0; i < a.rerank_curve.size(); ++i) {
+        EXPECT_EQ(a.rerank_curve[i].epoch, b.rerank_curve[i].epoch);
+        EXPECT_EQ(a.rerank_curve[i].misses, b.rerank_curve[i].misses);
+        EXPECT_EQ(a.rerank_curve[i].itlb4k, b.rerank_curve[i].itlb4k);
+        EXPECT_EQ(a.rerank_curve[i].objective,
+                  b.rerank_curve[i].objective);
+    }
+}
+
+TEST(LayoutSearch, PageModeIsByteIdenticalAcrossPoolWidths)
+{
+    Workload& w = shared();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+
+    const SearchResult serial = searchLayout(
+        w.image.prog, w.prof, popts, pageBudget(42), &w.buf);
+    ASSERT_FALSE(serial.rerank_curve.empty());
+    for (std::size_t width : {2u, 4u}) {
+        SCOPED_TRACE(width);
+        support::ThreadPool pool(width);
+        const SearchResult pooled =
+            searchLayout(w.image.prog, w.prof, popts, pageBudget(42),
+                         &w.buf, nullptr, &pool);
+        expectSameAudit(serial, pooled, w.image.prog);
+    }
+}
+
+/**
+ * Golden of one page-mode search with re-rank on, recorded when ground
+ * truth was still priced by resolving each candidate and replaying it
+ * through the i-cache and iTLB engines. Any change to how candidates
+ * are priced must reproduce it byte for byte.
+ */
+TEST(LayoutSearch, PageModeSearchMatchesRecordedGolden)
+{
+    Workload& w = shared();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    const SearchResult r = searchLayout(w.image.prog, w.prof, popts,
+                                        pageBudget(42), &w.buf);
+
+    EXPECT_EQ(addressMapHash(r.layout, w.image.prog),
+              1931470605162640707ULL);
+    EXPECT_EQ(r.seed_misses, 3577u);
+    EXPECT_EQ(r.best_misses, 3533u);
+    EXPECT_EQ(r.seed_itlb4k, 1031u);
+    EXPECT_EQ(r.best_itlb4k, 1030u);
+    EXPECT_EQ(r.seed_itlb2m, 1u);
+    EXPECT_EQ(r.best_itlb2m, 1u);
+    EXPECT_EQ(r.seed_objective, 5649.0);
+    EXPECT_EQ(r.best_objective, 5603.0);
+    EXPECT_EQ(r.sim_evals, 18u);
+    EXPECT_EQ(r.sim_cache_hits, 32u);
+    const std::vector<SearchResult::RerankPoint> golden = {
+        {3, 3572, 1025, 5632.0},
+        {6, 3572, 1025, 5632.0},
+        {9, 3572, 1025, 5632.0},
+        {12, 3533, 1030, 5603.0},
+    };
+    ASSERT_EQ(r.rerank_curve.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        EXPECT_EQ(r.rerank_curve[i].epoch, golden[i].epoch);
+        EXPECT_EQ(r.rerank_curve[i].misses, golden[i].misses);
+        EXPECT_EQ(r.rerank_curve[i].itlb4k, golden[i].itlb4k);
+        EXPECT_EQ(r.rerank_curve[i].objective, golden[i].objective);
+    }
 }
 
 TEST(LayoutSearch, ProgressIsMonotoneAndNeverBelowSeed)

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/layout.hh"
 #include "program/builder.hh"
@@ -182,6 +184,79 @@ TEST(Layout, CfaConfinesHotSegmentsToReservedRows)
             EXPECT_LT(row_off, 64u) << "hot segment " << i;
         else
             EXPECT_GE(row_off, 64u) << "cold segment " << i;
+    }
+}
+
+/**
+ * CFA placement of single-block procedures of the given sizes (in
+ * instructions) into a 256-byte "cache" with a 64-byte reserved area,
+ * in list order, hot where flagged.
+ */
+struct CfaCase
+{
+    Program prog{"cfa"};
+    std::vector<bool> hot;
+
+    CfaCase(const std::vector<std::uint32_t>& instrs,
+            const std::vector<bool>& hot_flags)
+        : hot(hot_flags)
+    {
+        for (std::size_t i = 0; i < instrs.size(); ++i) {
+            ProcedureBuilder b("p" + std::to_string(i));
+            b.addBlock(instrs[i], Terminator::Return);
+            prog.addProcedure(b.build());
+        }
+    }
+
+    Layout
+    place() const
+    {
+        std::vector<CodeSegment> segs;
+        for (std::uint32_t i = 0; i < prog.numProcs(); ++i)
+            segs.push_back({i, {0}});
+        AssignOptions opts;
+        opts.text_base = 0;
+        opts.cfa_bytes = 64;
+        opts.cfa_cache_bytes = 256;
+        return Layout(prog, segs, opts, hot);
+    }
+};
+
+TEST(Layout, CfaNeverHandsOutSpilledBytesTwice)
+{
+    {
+        // The cold cursor lands exactly on a row boundary, where the
+        // next row's hot window begins; the second hot segment has
+        // already jumped there. The next cold segment must go to the
+        // next row's cold window.
+        CfaCase c({12, 12, 8, 8, 8, 8, 8, 8, 8},
+                  {true, true, false, false, false, false, false, false,
+                   false});
+        const Layout l = c.place();
+        EXPECT_EQ(l.validate(), "");
+        EXPECT_EQ(l.blockAddr(1), 256u);
+        EXPECT_EQ(l.blockAddr(8), 256u + 64u);
+    }
+    {
+        // An oversized hot segment spills over the cold window; cold
+        // code resumes past the spill, and the next hot segment takes
+        // the next row's reserved area.
+        CfaCase c({24, 8, 8}, {true, false, true});
+        const Layout l = c.place();
+        EXPECT_EQ(l.validate(), "");
+        EXPECT_EQ(l.blockAddr(0), 0u);
+        EXPECT_EQ(l.blockAddr(1), 96u);
+        EXPECT_EQ(l.blockAddr(2), 256u);
+    }
+    {
+        // Cold code already sits where the oversized hot segment would
+        // spill, so the spill starts at the next reserved area past it.
+        CfaCase c({8, 24, 8}, {false, true, false});
+        const Layout l = c.place();
+        EXPECT_EQ(l.validate(), "");
+        EXPECT_EQ(l.blockAddr(0), 64u);
+        EXPECT_EQ(l.blockAddr(1), 256u);
+        EXPECT_EQ(l.blockAddr(2), 256u + 96u);
     }
 }
 
