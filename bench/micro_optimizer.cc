@@ -126,6 +126,30 @@ BM_ExtTspScore(benchmark::State& state)
 BENCHMARK(BM_ExtTspScore)->Unit(benchmark::kMillisecond);
 
 void
+BM_ExtTspScorer(benchmark::State& state)
+{
+    // The search's production path: the same `all` layout's segments
+    // scored through the once-per-search table (built outside the loop,
+    // as searchLayout does).
+    Shared& s = shared();
+    core::PipelineOptions opts;
+    opts.combo = core::OptCombo::All;
+    core::Layout layout = core::buildLayout(s.image.prog, s.prof, opts);
+    opt::ExtTspParams params;
+    core::AssignOptions aopts;
+    aopts.text_base = opts.text_base;
+    aopts.segment_align = opts.segment_align;
+    const opt::ExtTspScorer scorer(s.image.prog, s.prof, params, aopts);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(scorer.score(layout.segments()));
+    // Items = profiled edges scored per pass, as in BM_ExtTspScore.
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(s.prof.edges().size()));
+}
+BENCHMARK(BM_ExtTspScorer)->Unit(benchmark::kMillisecond);
+
+void
 BM_AnnealEpoch(benchmark::State& state)
 {
     Shared& s = shared();

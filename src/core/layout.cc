@@ -20,39 +20,20 @@ using program::Terminator;
 
 namespace {
 
-/** Per-block successor summary used for size adjustment. */
-struct Succs
+/** Fill `out` (indexed by local id) with `proc`'s successors, shifted
+ *  into the id space starting at `base`. */
+void
+fillSuccessors(const Procedure& proc, std::uint32_t base, BlockSuccs* out)
 {
-    GlobalBlockId fall = kInvalidId;   ///< fall-through successor
-    GlobalBlockId taken = kInvalidId;  ///< cond-taken successor
-    GlobalBlockId uncond = kInvalidId; ///< uncond-branch target
-};
-
-std::vector<Succs>
-collectSuccs(const program::Program& prog)
-{
-    std::vector<Succs> succs(prog.numBlocks());
-    for (ProcId p = 0; p < prog.numProcs(); ++p) {
-        const Procedure& proc = prog.proc(p);
-        for (const FlowEdge& e : proc.edges) {
-            GlobalBlockId from = prog.globalBlockId(p, e.from);
-            GlobalBlockId to = prog.globalBlockId(p, e.to);
-            switch (e.kind) {
-              case EdgeKind::FallThrough:
-                succs[from].fall = to;
-                break;
-              case EdgeKind::CondTaken:
-                succs[from].taken = to;
-                break;
-              case EdgeKind::UncondTarget:
-                succs[from].uncond = to;
-                break;
-              case EdgeKind::IndirectTarget:
-                break;
-            }
+    for (const FlowEdge& e : proc.edges) {
+        const std::uint32_t to = base + e.to;
+        switch (e.kind) {
+          case EdgeKind::FallThrough: out[e.from].fall = to; break;
+          case EdgeKind::CondTaken: out[e.from].taken = to; break;
+          case EdgeKind::UncondTarget: out[e.from].uncond = to; break;
+          case EdgeKind::IndirectTarget: break;
         }
     }
-    return succs;
 }
 
 std::uint64_t
@@ -62,6 +43,25 @@ alignUp(std::uint64_t v, std::uint64_t a)
 }
 
 } // namespace
+
+std::vector<BlockSuccs>
+blockSuccessors(const program::Program& prog)
+{
+    std::vector<BlockSuccs> succs(prog.numBlocks());
+    for (ProcId p = 0; p < prog.numProcs(); ++p) {
+        const GlobalBlockId base = prog.globalBlockId(p, 0);
+        fillSuccessors(prog.proc(p), base, succs.data() + base);
+    }
+    return succs;
+}
+
+std::vector<BlockSuccs>
+blockSuccessors(const program::Procedure& proc)
+{
+    std::vector<BlockSuccs> succs(proc.blocks.size());
+    fillSuccessors(proc, 0, succs.data());
+    return succs;
+}
 
 Layout::Layout(const program::Program& prog,
                std::vector<CodeSegment> segments, const AssignOptions& opts,
@@ -100,7 +100,7 @@ Layout::Layout(const program::Program& prog,
     // Pass 1: layout-adjusted sizes. Adjacent means "next in the linear
     // order" and either same segment or pack-tight alignment (no padding
     // can intervene).
-    const std::vector<Succs> succs = collectSuccs(prog);
+    const std::vector<BlockSuccs> succs = blockSuccessors(prog);
     const bool tight = opts.segment_align <= kInstrBytes &&
                        opts.cfa_bytes == 0;
     for (std::size_t i = 0; i < order.size(); ++i) {
@@ -110,32 +110,9 @@ Layout::Layout(const program::Program& prog,
         if (i + 1 < order.size() &&
             (tight || seg_of[order[i + 1]] == seg_of[g]))
             next = order[i + 1];
-        std::uint32_t sz = blk.sizeInstrs;
-        switch (blk.term) {
-          case Terminator::FallThrough:
-          case Terminator::Call:
-            if (succs[g].fall != next) {
-                ++sz;
-                ++materialized_;
-            }
-            break;
-          case Terminator::CondBranch:
-            if (succs[g].fall != next && succs[g].taken != next) {
-                ++sz;
-                ++materialized_;
-            }
-            break;
-          case Terminator::UncondBranch:
-            if (succs[g].uncond == next) {
-                --sz;
-                ++deleted_;
-            }
-            break;
-          case Terminator::IndirectJump:
-          case Terminator::Return:
-            break;
-        }
-        size_[g] = sz;
+        size_[g] = adjustedSize(blk, succs[g], next);
+        materialized_ += size_[g] > blk.sizeInstrs ? 1 : 0;
+        deleted_ += size_[g] < blk.sizeInstrs ? 1 : 0;
     }
 
     // Pass 2: addresses. In CFA mode hot segments are confined to the
@@ -244,7 +221,7 @@ std::uint64_t
 Layout::branchesBeyondDisplacement(std::uint64_t limit_bytes) const
 {
     const program::Program& prog = *prog_;
-    const std::vector<Succs> succs = collectSuccs(prog);
+    const std::vector<BlockSuccs> succs = blockSuccessors(prog);
     std::uint64_t count = 0;
     auto check = [&](GlobalBlockId from, GlobalBlockId to) {
         if (to == kInvalidId)

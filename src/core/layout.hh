@@ -31,6 +31,54 @@ struct CodeSegment
     std::vector<program::BlockLocalId> blocks;
 };
 
+/**
+ * Intra-procedure successors of one block that decide its trailing
+ * unconditional branch. Ids are in whatever space the table was built
+ * in (global ids for blockSuccessors(Program), local ids for
+ * blockSuccessors(Procedure)); kInvalidId = no such successor.
+ */
+struct BlockSuccs
+{
+    std::uint32_t fall = program::kInvalidId;   ///< fall-through
+    std::uint32_t taken = program::kInvalidId;  ///< cond-taken target
+    std::uint32_t uncond = program::kInvalidId; ///< uncond-branch target
+};
+
+/** Successor table indexed by global block id. */
+std::vector<BlockSuccs> blockSuccessors(const program::Program& prog);
+
+/** Successor table of one procedure, indexed by local block id. */
+std::vector<BlockSuccs> blockSuccessors(const program::Procedure& proc);
+
+/**
+ * Layout-adjusted size in instructions of `blk` (successors `succs`)
+ * when `next` is the block placed immediately after it with no padding
+ * in between, or kInvalidId when nothing is. A block that falls through
+ * (or a conditional whose neither side follows) gains a materialized
+ * unconditional branch unless its fall-through successor is `next`; an
+ * unconditional branch to `next` is deleted. `next` must be in the
+ * same id space as `succs`.
+ */
+inline std::uint32_t
+adjustedSize(const program::BasicBlock& blk, const BlockSuccs& succs,
+             std::uint32_t next)
+{
+    switch (blk.term) {
+      case program::Terminator::FallThrough:
+      case program::Terminator::Call:
+        return blk.sizeInstrs + (succs.fall != next ? 1 : 0);
+      case program::Terminator::CondBranch:
+        return blk.sizeInstrs +
+               (succs.fall != next && succs.taken != next ? 1 : 0);
+      case program::Terminator::UncondBranch:
+        return blk.sizeInstrs - (succs.uncond == next ? 1 : 0);
+      case program::Terminator::IndirectJump:
+      case program::Terminator::Return:
+        break;
+    }
+    return blk.sizeInstrs;
+}
+
 /** Knobs for address assignment. */
 struct AssignOptions
 {

@@ -10,14 +10,12 @@ namespace spikesim::opt {
 
 using program::BasicBlock;
 using program::BlockLocalId;
-using program::EdgeKind;
 using program::FlowEdge;
 using program::GlobalBlockId;
 using program::kInstrBytes;
 using program::kInvalidId;
 using program::ProcId;
 using program::Procedure;
-using program::Terminator;
 
 double
 extTspEdgeScore(std::uint64_t src_end, std::uint64_t dst_addr,
@@ -80,51 +78,20 @@ namespace {
 
 /**
  * Layout-adjusted sizes for one procedure laid out alone in `order`
- * (the same trailing-branch rules as core::Layout pass 1, but local:
- * every block's neighbour is the next order entry, packed tight).
+ * (core::adjustedSize, as in core::Layout pass 1, but local: every
+ * block's neighbour is the next order entry, packed tight).
  */
 std::vector<std::uint32_t>
 localAdjustedSizes(const Procedure& proc,
                    const std::vector<BlockLocalId>& order)
 {
-    const std::size_t n = proc.blocks.size();
-    // Successor summary per local block.
-    std::vector<BlockLocalId> fall(n, kInvalidId), taken(n, kInvalidId),
-        uncond(n, kInvalidId);
-    for (const FlowEdge& e : proc.edges) {
-        switch (e.kind) {
-          case EdgeKind::FallThrough: fall[e.from] = e.to; break;
-          case EdgeKind::CondTaken: taken[e.from] = e.to; break;
-          case EdgeKind::UncondTarget: uncond[e.from] = e.to; break;
-          case EdgeKind::IndirectTarget: break;
-        }
-    }
-    std::vector<std::uint32_t> size(n, 0);
+    const std::vector<core::BlockSuccs> succs = core::blockSuccessors(proc);
+    std::vector<std::uint32_t> size(proc.blocks.size(), 0);
     for (std::size_t i = 0; i < order.size(); ++i) {
         const BlockLocalId b = order[i];
-        const BasicBlock& blk = proc.blocks[b];
         const BlockLocalId next =
             i + 1 < order.size() ? order[i + 1] : kInvalidId;
-        std::uint32_t sz = blk.sizeInstrs;
-        switch (blk.term) {
-          case Terminator::FallThrough:
-          case Terminator::Call:
-            if (fall[b] != next)
-                ++sz;
-            break;
-          case Terminator::CondBranch:
-            if (fall[b] != next && taken[b] != next)
-                ++sz;
-            break;
-          case Terminator::UncondBranch:
-            if (uncond[b] == next)
-                --sz;
-            break;
-          case Terminator::IndirectJump:
-          case Terminator::Return:
-            break;
-        }
-        size[b] = sz;
+        size[b] = core::adjustedSize(proc.blocks[b], succs[b], next);
     }
     return size;
 }
@@ -164,6 +131,98 @@ extTspScore(const core::Layout& layout, const profile::Profile& profile,
                                      layout.blockAddr(entry), w, params);
         }
     }
+    return total;
+}
+
+ExtTspScorer::ExtTspScorer(const program::Program& prog,
+                           const profile::Profile& profile,
+                           const ExtTspParams& params,
+                           const core::AssignOptions& aopts)
+    : prog_(prog),
+      params_(params),
+      text_base_(aopts.text_base),
+      align_(aopts.segment_align),
+      tight_(aopts.segment_align <= kInstrBytes),
+      succs_(core::blockSuccessors(prog))
+{
+    SPIKESIM_ASSERT(aopts.segment_align >= kInstrBytes &&
+                        (aopts.segment_align &
+                         (aopts.segment_align - 1)) == 0,
+                    "segment alignment must be a power of two >= 4");
+    SPIKESIM_ASSERT(aopts.cfa_bytes == 0,
+                    "the ExtTSP scorer does not model a CFA");
+    proc_base_.reserve(prog.numProcs());
+    for (ProcId p = 0; p < prog.numProcs(); ++p)
+        proc_base_.push_back(prog.globalBlockId(p, 0));
+    // The oracle's edge order: non-zero flow edges by (proc id, edge
+    // index), then every call edge in sorted order.
+    for (ProcId p = 0; p < prog.numProcs(); ++p)
+        for (const FlowEdge& e : prog.proc(p).edges) {
+            const GlobalBlockId from = proc_base_[p] + e.from;
+            const GlobalBlockId to = proc_base_[p] + e.to;
+            const std::uint64_t w = profile.edgeCount(from, to);
+            if (w != 0)
+                edges_.push_back({from, to, w});
+        }
+    if (params.include_calls) {
+        auto calls = profile.calls();
+        std::sort(calls.begin(), calls.end());
+        for (const auto& [caller_block, callee, w] : calls)
+            edges_.push_back({caller_block, proc_base_[callee], w});
+    }
+}
+
+double
+ExtTspScorer::score(const std::vector<core::CodeSegment>& segments) const
+{
+    // Per-thread scratch, fully rewritten by every call: start address
+    // and one-past-end byte of each block, by global id.
+    thread_local std::vector<std::uint64_t> addr, end;
+    addr.resize(succs_.size());
+    end.resize(succs_.size());
+
+    // One pass in placement order. A block's adjusted size depends on
+    // the block placed after it, so each block is closed (sized, its
+    // end recorded, the cursor advanced) when its successor is seen.
+    std::uint64_t cur = text_base_;
+    std::size_t placed = 0;
+    GlobalBlockId prev = kInvalidId;
+    const BasicBlock* prev_blk = nullptr;
+    const auto close = [&](GlobalBlockId next) {
+        cur += static_cast<std::uint64_t>(
+                   core::adjustedSize(*prev_blk, succs_[prev], next)) *
+               kInstrBytes;
+        end[prev] = cur;
+    };
+    for (const core::CodeSegment& seg : segments) {
+        SPIKESIM_ASSERT(!seg.blocks.empty(), "empty code segment");
+        const Procedure& proc = prog_.proc(seg.proc);
+        const GlobalBlockId base = proc_base_[seg.proc];
+        // Across a segment boundary the next block is adjacent only
+        // under tight packing (no padding can intervene).
+        if (prev_blk != nullptr)
+            close(tight_ ? base + seg.blocks.front() : kInvalidId);
+        cur = (cur + align_ - 1) & ~(std::uint64_t{align_} - 1);
+        for (std::size_t i = 0; i < seg.blocks.size(); ++i) {
+            const GlobalBlockId g = base + seg.blocks[i];
+            if (i > 0)
+                close(g);
+            addr[g] = cur;
+            prev = g;
+            prev_blk = &proc.blocks[seg.blocks[i]];
+        }
+        placed += seg.blocks.size();
+    }
+    SPIKESIM_ASSERT(placed == succs_.size(),
+                    "candidate covers " << placed << " of "
+                                        << succs_.size() << " blocks");
+    if (prev_blk != nullptr)
+        close(kInvalidId);
+
+    double total = 0.0;
+    for (const Edge& e : edges_)
+        total += extTspEdgeScore(end[e.from], addr[e.to], e.count,
+                                 params_);
     return total;
 }
 

@@ -25,10 +25,13 @@
  * i-cache), and an additive co-residency bonus when source and target
  * share one i-cache line (a transfer inside a line can never miss).
  *
- * The model is a cheap proxy for replayed i-cache misses: evaluating it
- * is O(profiled edges) and needs no trace, so an annealer can score
- * thousands of candidate layouts per second and reserve the replay
- * engine for periodic ground-truth re-ranks (opt/search.hh).
+ * The model is a cheap proxy for replayed i-cache misses: it needs no
+ * trace, so an annealer can score many candidate layouts per second and
+ * reserve the replay engine for periodic ground-truth re-ranks
+ * (opt/search.hh). extTspScore is the oracle over a materialized
+ * core::Layout; ExtTspScorer is the search's production path, which
+ * resolves the edge table once and then costs O(blocks + profiled
+ * edges) per candidate, bit-equal to the oracle.
  */
 
 namespace spikesim::opt {
@@ -102,6 +105,51 @@ double extTspEdgeScore(std::uint64_t src_end, std::uint64_t dst_addr,
 double extTspScore(const core::Layout& layout,
                    const profile::Profile& profile,
                    const ExtTspParams& params = {});
+
+/**
+ * The search's production path to extTspScore: everything about the
+ * score that no candidate can change is resolved once, at
+ * construction — the successor table behind the trailing-branch size
+ * rule and a flat edge table holding the non-zero flow edges and the
+ * call edges in extTspScore's order — so scoring a candidate is one
+ * pass over its segment sequence (adjusted sizes and addresses, with
+ * alignment padding, into per-thread scratch) plus one pass over the
+ * edge table. No core::Layout is built, the profile is not consulted,
+ * and nothing is sorted. Because the edge order and the arithmetic are
+ * the oracle's, score(c) is bit-equal to
+ * extTspScore(materialize(c, prog, aopts), profile, params)
+ * (tests/exttsp_test.cc fuzzes this). A CFA (aopts.cfa_bytes > 0) is
+ * not modelled. score() is const and safe to call concurrently.
+ */
+class ExtTspScorer
+{
+  public:
+    ExtTspScorer(const program::Program& prog,
+                 const profile::Profile& profile,
+                 const ExtTspParams& params,
+                 const core::AssignOptions& aopts);
+
+    /** ExtTSP score of the layout these segments materialize into. */
+    double score(const std::vector<core::CodeSegment>& segments) const;
+
+  private:
+    struct Edge
+    {
+        program::GlobalBlockId from;
+        program::GlobalBlockId to;
+        std::uint64_t count;
+    };
+
+    const program::Program& prog_;
+    ExtTspParams params_;
+    std::uint64_t text_base_;
+    std::uint32_t align_;
+    /** Blocks in consecutive segments are adjacent (no padding). */
+    bool tight_;
+    std::vector<core::BlockSuccs> succs_;      ///< by global block id
+    std::vector<program::GlobalBlockId> proc_base_; ///< proc -> block 0
+    std::vector<Edge> edges_;
+};
 
 /**
  * Weighted page-cross count of a layout: sum over profiled transfer

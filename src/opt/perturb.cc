@@ -29,7 +29,7 @@ perturbOpName(PerturbOp op)
 Candidate
 candidateFromLayout(const core::Layout& layout)
 {
-    return Candidate{layout.segments()};
+    return Candidate{layout.segments(), RegionMap{}};
 }
 
 core::Layout

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -140,6 +142,22 @@ candidateBytes(const program::Program& prog, const core::CodeSegment& seg)
     return bytes;
 }
 
+/** Indices of the batch's `k` best proxy scores, best first (ties in
+ *  index order). */
+std::vector<std::size_t>
+batchTop(const std::vector<ScoredCandidate>& batch, std::size_t k)
+{
+    std::vector<std::size_t> order(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return batch[a].score > batch[b].score;
+                     });
+    order.resize(std::min(k, order.size()));
+    return order;
+}
+
 SearchResult::RegionSummary
 summarizeRegions(const program::Program& prog, const Candidate& cand)
 {
@@ -177,13 +195,15 @@ searchLayout(const program::Program& prog,
     aopts.text_base = popts.text_base;
     aopts.segment_align = popts.segment_align;
 
+    // Every candidate is scored through one table built here.
+    const ExtTspScorer scorer(prog, profile, sopts.exttsp, aopts);
+
     // Seed: the greedy pipeline's layout, re-materialized tight.
     ScoredCandidate seed;
     seed.cand =
         candidateFromLayout(core::buildLayout(prog, profile, popts));
     seed.fp = fingerprint(seed.cand);
-    seed.score = extTspScore(materialize(seed.cand, prog, aopts), profile,
-                             sopts.exttsp);
+    seed.score = scorer.score(seed.cand.segments);
 
     SearchResult result{materialize(seed.cand, prog, aopts)};
     result.seed_score = seed.score;
@@ -248,8 +268,7 @@ searchLayout(const program::Program& prog,
                 buildRegionMap(prog, hc.cand.segments, num_hot,
                                sopts.page.region_page_bytes);
             hc.fp = fingerprint(hc.cand);
-            hc.score = extTspScore(materialize(hc.cand, prog, aopts),
-                                   profile, sopts.exttsp);
+            hc.score = scorer.score(hc.cand.segments);
             return hc;
         };
         // A ladder of thresholds around the configured one: where the
@@ -274,8 +293,7 @@ searchLayout(const program::Program& prog,
             buildRegionMap(prog, hier.cand.segments, hr.num_hot,
                            sopts.page.region_page_bytes);
         hier.fp = fingerprint(hier.cand);
-        hier.score = extTspScore(materialize(hier.cand, prog, aopts),
-                                 profile, sopts.exttsp);
+        hier.score = scorer.score(hier.cand.segments);
     }
 
     ScoredCandidate incumbent = seed;
@@ -322,16 +340,8 @@ searchLayout(const program::Program& prog,
                 survivors.push_back(&hc);
             survivors.push_back(&hier);
         }
-        std::vector<std::size_t> order(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            order[i] = i;
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return batch[a].score > batch[b].score;
-                         });
-        for (std::size_t i = 0;
-             i < std::min(sopts.rerank_top, order.size()); ++i)
-            survivors.push_back(&batch[order[i]]);
+        for (std::size_t i : batchTop(batch, sopts.rerank_top))
+            survivors.push_back(&batch[i]);
         // Dedup by fingerprint, keeping first occurrence.
         std::vector<const ScoredCandidate*> uniq;
         for (const ScoredCandidate* s : survivors) {
@@ -409,50 +419,86 @@ searchLayout(const program::Program& prog,
     static obs::Counter& c_accepted = obs::counter("opt.search.accepted");
     static obs::Counter& c_proxy = obs::counter("opt.search.proxy_evals");
 
+    const std::size_t batch_size = static_cast<std::size_t>(sopts.batch);
+    // Candidate i of epoch e: the incumbent perturbed by the candidate's
+    // own seeded stream. It depends on nothing else, so pool tasks only
+    // score it, and the few that acceptance or the re-rank keep are
+    // drawn again here, before the incumbent changes.
+    int e = 0;
+    const auto generate = [&](std::size_t i, Candidate& cand,
+                              PerturbCounts* counts) {
+        support::Pcg32 rng(sopts.seed,
+                           kCandidateStreamBase +
+                               static_cast<std::uint64_t>(e) * batch_size +
+                               i);
+        cand = incumbent.cand;
+        const int ops = 1 + static_cast<int>(rng.nextBounded(
+                                static_cast<std::uint32_t>(sopts.max_ops)));
+        perturb(cand, rng, ops, counts);
+    };
+    // Per-task scratch candidates, reused across the search so that
+    // copying the incumbent into a warm one allocates almost nothing;
+    // at most one per concurrently running task.
+    std::mutex scratch_mu;
+    std::vector<std::unique_ptr<Candidate>> scratch;
     std::vector<ScoredCandidate> batch;
-    for (int e = 0; e < sopts.epochs; ++e) {
-        obs::Span epoch_span("search.epoch", "opt");
-        batch.resize(static_cast<std::size_t>(sopts.batch));
-        // Generate the batch sequentially (seeded per-candidate
-        // streams), then score it in parallel; scores are pure
-        // per-candidate functions, so pool width cannot change them.
-        for (int i = 0; i < sopts.batch; ++i) {
-            support::Pcg32 rng(
-                sopts.seed,
-                kCandidateStreamBase +
-                    static_cast<std::uint64_t>(e) *
-                        static_cast<std::uint64_t>(sopts.batch) +
-                    static_cast<std::uint64_t>(i));
-            ScoredCandidate& c = batch[static_cast<std::size_t>(i)];
-            c.cand = incumbent.cand;
-            const int ops =
-                1 + static_cast<int>(rng.nextBounded(
-                        static_cast<std::uint32_t>(sopts.max_ops)));
-            perturb(c.cand, rng, ops, &result.perturb_counts);
-            c.fp = fingerprint(c.cand);
+    std::vector<PerturbCounts> batch_counts;
+    const auto evaluate = [&](std::size_t i) {
+        std::unique_ptr<Candidate> cand;
+        {
+            std::lock_guard<std::mutex> lock(scratch_mu);
+            if (!scratch.empty()) {
+                cand = std::move(scratch.back());
+                scratch.pop_back();
+            }
         }
-        auto score = [&](std::size_t i) {
-            batch[i].score = extTspScore(
-                materialize(batch[i].cand, prog, aopts), profile,
-                sopts.exttsp);
-        };
+        if (cand == nullptr)
+            cand = std::make_unique<Candidate>();
+        generate(i, *cand, &batch_counts[i]);
+        batch[i].fp = fingerprint(*cand);
+        batch[i].score = scorer.score(cand->segments);
+        std::lock_guard<std::mutex> lock(scratch_mu);
+        scratch.push_back(std::move(cand));
+    };
+    // A batch slot holds only its fingerprint and score until kept.
+    const auto keep = [&](std::size_t i) {
+        if (batch[i].cand.segments.empty())
+            generate(i, batch[i].cand, nullptr);
+    };
+    for (; e < sopts.epochs; ++e) {
+        obs::Span epoch_span("search.epoch", "opt");
+        batch.assign(batch_size, ScoredCandidate{});
+        batch_counts.assign(batch_size, PerturbCounts{});
         if (pool != nullptr) {
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                pool->submit([&score, i] { score(i); });
+            for (std::size_t i = 0; i < batch_size; ++i)
+                pool->submit([&evaluate, i] { evaluate(i); });
             pool->wait();
         } else {
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                score(i);
+            for (std::size_t i = 0; i < batch_size; ++i)
+                evaluate(i);
         }
+        for (const PerturbCounts& pc : batch_counts)
+            for (std::size_t op = 0; op < kNumPerturbOps; ++op) {
+                result.perturb_counts.applied[op] += pc.applied[op];
+                result.perturb_counts.noop[op] += pc.noop[op];
+            }
         result.proxy_evals += batch.size();
         c_proxy.add(batch.size());
+        if (rerank && ((e + 1) % sopts.rerank_every == 0 ||
+                       e + 1 == sopts.epochs))
+            for (std::size_t i : batchTop(batch, sopts.rerank_top))
+                keep(i);
 
         // Acceptance (sequential, deterministic).
+        const auto accept = [&](std::size_t i) {
+            keep(i);
+            incumbent = batch[i];
+            c_accepted.add(1);
+        };
         if (sopts.algorithm == SearchOptions::Algorithm::HillClimb) {
-            for (const ScoredCandidate& c : batch)
-                if (c.score > incumbent.score) {
-                    incumbent = c;
-                    c_accepted.add(1);
+            for (std::size_t i = 0; i < batch.size(); ++i)
+                if (batch[i].score > incumbent.score) {
+                    accept(i);
                     break;
                 }
         } else {
@@ -460,19 +506,16 @@ searchLayout(const program::Program& prog,
             for (std::size_t i = 1; i < batch.size(); ++i)
                 if (batch[i].score > batch[bi].score)
                     bi = i;
-            const ScoredCandidate& c = batch[bi];
-            if (c.score > incumbent.score) {
-                incumbent = c;
-                c_accepted.add(1);
+            const double best = batch[bi].score;
+            if (best > incumbent.score) {
+                accept(bi);
             } else {
                 const double temp =
                     temp0 * std::pow(sopts.cooling, static_cast<double>(e));
                 if (temp > 0.0 &&
                     accept_rng.nextDouble() <
-                        std::exp((c.score - incumbent.score) / temp)) {
-                    incumbent = c;
-                    c_accepted.add(1);
-                }
+                        std::exp((best - incumbent.score) / temp))
+                    accept(bi);
             }
         }
         if (incumbent.score > best_proxy.score)

@@ -21,11 +21,16 @@
  * visited:
  *
  *   - Candidates are perturbed segment sequences (opt/perturb.hh).
- *   - Each epoch, a batch of candidates is scored with the cheap
- *     ExtTSP proxy (opt/exttsp.hh) in parallel on a ThreadPool; batch
- *     generation and acceptance are sequential and seeded, so the
+ *   - Each epoch, a batch of candidates is generated and scored with
+ *     the cheap ExtTSP proxy in parallel on a ThreadPool, one task per
+ *     candidate. Scoring goes through an opt::ExtTspScorer built once
+ *     per search (opt/exttsp.hh), so a candidate is never materialized
+ *     into a core::Layout just to be scored. A candidate depends only
+ *     on the incumbent and its own seeded stream, so the batch keeps
+ *     just fingerprints and scores; the few candidates acceptance and
+ *     the re-rank need are drawn again. Acceptance is sequential. The
  *     result is byte-identical for a given seed regardless of the
- *     pool's width (proxy scores are pure per-candidate functions).
+ *     pool's width.
  *   - Acceptance is either first-improvement hill climbing or
  *     simulated annealing with a geometric temperature schedule.
  *   - Every `rerank_every` epochs (and once at the end), the survivors

@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/chain.hh"
+#include "core/pipeline.hh"
 #include "opt/exttsp.hh"
+#include "opt/perturb.hh"
 #include "program/builder.hh"
 #include "program/program.hh"
+#include "support/rng.hh"
+#include "synth/synthprog.hh"
+#include "synth/walker.hh"
 
 namespace spikesim::opt {
 namespace {
@@ -227,6 +233,148 @@ TEST(ExtTspOracle, SevenBlockCfgMatchesBruteForce)
             std::max(max_score, extTspOrderScore(p, 0, prof, order));
     } while (std::next_permutation(rest.begin(), rest.end()));
     EXPECT_DOUBLE_EQ(best.score, max_score);
+}
+
+/** Synthetic kernel-like image with a walked profile: many procedures,
+ *  profiled flow and call edges, every terminator kind. */
+struct ScorerWorkload
+{
+    synth::SyntheticProgram image;
+    profile::Profile prof;
+
+    ScorerWorkload()
+        : image(synth::buildSyntheticProgram(
+              synth::SynthParams::kernelLike(5))),
+          prof(image.prog)
+    {
+        profile::ProfileRecorder rec(trace::ImageId::App, prof);
+        synth::CfgWalker w(image.prog, trace::ImageId::App, 5);
+        trace::ExecContext ctx;
+        for (int i = 0; i < 25; ++i) {
+            w.run(image.entry("sys_read"), ctx, rec);
+            w.run(image.entry("sched_switch"), ctx, rec);
+        }
+    }
+};
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/**
+ * Rebuild the candidate so it ends with two single-block segments
+ * {S}, {B}, where B is a block that falls through to S on a profiled
+ * edge. B is the final block, so it must materialize a branch, and the
+ * short backward jump B -> S is scored from B's end: the branch's
+ * bytes move that score.
+ */
+Candidate
+withMaterializedTail(Candidate cand, const program::Program& prog,
+                     const profile::Profile& prof)
+{
+    for (program::ProcId p = 0; p < prog.numProcs(); ++p)
+        for (const program::FlowEdge& e : prog.proc(p).edges) {
+            if (e.kind != EdgeKind::FallThrough || e.from == e.to ||
+                prog.proc(p).blocks[e.from].term != Terminator::FallThrough ||
+                prof.edgeCount(prog.globalBlockId(p, e.from),
+                               prog.globalBlockId(p, e.to)) == 0)
+                continue;
+            for (core::CodeSegment& seg : cand.segments)
+                if (seg.proc == p)
+                    std::erase_if(seg.blocks, [&](BlockLocalId b) {
+                        return b == e.from || b == e.to;
+                    });
+            std::erase_if(cand.segments, [](const core::CodeSegment& seg) {
+                return seg.blocks.empty();
+            });
+            cand.segments.push_back({p, {e.to}});
+            cand.segments.push_back({p, {e.from}});
+            return cand;
+        }
+    ADD_FAILURE() << "no profiled fall-through edge";
+    return cand;
+}
+
+/**
+ * Differential fuzz of the search's production scorer against the
+ * oracle: over perturbed candidates, at tight (4) and padded (64)
+ * segment alignment, with call edges and the page-aware terms each on
+ * and off, ExtTspScorer::score must be bit-equal to extTspScore of the
+ * materialized layout.
+ */
+TEST(ExtTspScorer, MatchesLayoutOracle)
+{
+    static const ScorerWorkload w;
+    const program::Program& prog = w.image.prog;
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    Candidate cand =
+        candidateFromLayout(core::buildLayout(prog, w.prof, popts));
+    ASSERT_FALSE(w.prof.calls().empty());
+
+    std::vector<ExtTspParams> param_sets;
+    for (const bool calls : {true, false})
+        for (const bool page : {false, true}) {
+            ExtTspParams p;
+            p.include_calls = calls;
+            if (page) {
+                p.gap_weight = 0.05;
+                p.page4k_weight = 0.02;
+                p.page2m_weight = 0.01;
+                p.itlb_weight = 0.05;
+            }
+            param_sets.push_back(p);
+        }
+    struct Config
+    {
+        core::AssignOptions aopts;
+        ExtTspParams params;
+        ExtTspScorer scorer;
+    };
+    std::vector<Config> configs;
+    for (const std::uint32_t align : {4u, 64u})
+        for (const ExtTspParams& p : param_sets) {
+            core::AssignOptions aopts;
+            aopts.segment_align = align;
+            configs.push_back(
+                {aopts, p, ExtTspScorer(prog, w.prof, p, aopts)});
+        }
+
+    const auto check = [&](const Candidate& c, int round) {
+        for (const Config& cfg : configs) {
+            const double want = extTspScore(
+                materialize(c, prog, cfg.aopts), w.prof, cfg.params);
+            const double got = cfg.scorer.score(c.segments);
+            ASSERT_TRUE(bitEqual(got, want))
+                << "round " << round << " align "
+                << cfg.aopts.segment_align << " calls "
+                << cfg.params.include_calls << " itlb_weight "
+                << cfg.params.itlb_weight << ": scorer " << got
+                << " vs oracle " << want;
+        }
+    };
+
+    // The candidate whose final block grows a materialized branch.
+    const Candidate tail = withMaterializedTail(cand, prog, w.prof);
+    {
+        const core::CodeSegment& last = tail.segments.back();
+        const program::GlobalBlockId g =
+            prog.globalBlockId(last.proc, last.blocks.back());
+        core::AssignOptions aopts;
+        EXPECT_EQ(materialize(tail, prog, aopts).blockSize(g),
+                  prog.block(g).sizeInstrs + 1);
+    }
+    check(tail, -1);
+
+    support::Pcg32 rng(2024, 11);
+    for (int round = 0; round < 200; ++round) {
+        perturb(cand, rng, 1 + static_cast<int>(rng.nextBounded(4)));
+        check(cand, round);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
 }
 
 } // namespace

@@ -157,6 +157,19 @@ expectSameAudit(const SearchResult& a, const SearchResult& b,
     }
 }
 
+void
+expectRerankCurve(const SearchResult& r,
+                  const std::vector<SearchResult::RerankPoint>& golden)
+{
+    ASSERT_EQ(r.rerank_curve.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        EXPECT_EQ(r.rerank_curve[i].epoch, golden[i].epoch);
+        EXPECT_EQ(r.rerank_curve[i].misses, golden[i].misses);
+        EXPECT_EQ(r.rerank_curve[i].itlb4k, golden[i].itlb4k);
+        EXPECT_EQ(r.rerank_curve[i].objective, golden[i].objective);
+    }
+}
+
 TEST(LayoutSearch, PageModeIsByteIdenticalAcrossPoolWidths)
 {
     Workload& w = shared();
@@ -202,19 +215,97 @@ TEST(LayoutSearch, PageModeSearchMatchesRecordedGolden)
     EXPECT_EQ(r.best_objective, 5603.0);
     EXPECT_EQ(r.sim_evals, 18u);
     EXPECT_EQ(r.sim_cache_hits, 32u);
-    const std::vector<SearchResult::RerankPoint> golden = {
-        {3, 3572, 1025, 5632.0},
-        {6, 3572, 1025, 5632.0},
-        {9, 3572, 1025, 5632.0},
-        {12, 3533, 1030, 5603.0},
+    expectRerankCurve(r, {
+                             {3, 3572, 1025, 5632.0},
+                             {6, 3572, 1025, 5632.0},
+                             {9, 3572, 1025, 5632.0},
+                             {12, 3533, 1030, 5603.0},
+                         });
+    // Proxy scores, bit-exact: the ExtTSP arithmetic and its edge
+    // order are part of what the golden pins.
+    EXPECT_EQ(r.seed_score, 0x1.2ed128e147ac7p+14);
+    EXPECT_EQ(r.best_score, 0x1.32ce073333314p+14);
+    EXPECT_EQ(r.epoch_best,
+              std::vector<double>(12, 0x1.32ce073333314p+14));
+}
+
+/**
+ * Golden of one flat-mode search (no page terms, no structured
+ * candidates) with re-rank on. Here the annealer itself improves the
+ * proxy epoch by epoch, so the golden pins the scores it climbed
+ * through as well as the ground-truth outcome.
+ */
+TEST(LayoutSearch, FlatModeSearchMatchesRecordedGolden)
+{
+    Workload& w = shared();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    SearchOptions sopts = pageBudget(42);
+    sopts.page.enabled = false;
+    const SearchResult r =
+        searchLayout(w.image.prog, w.prof, popts, sopts, &w.buf);
+
+    EXPECT_EQ(addressMapHash(r.layout, w.image.prog),
+              9564061404385060407ULL);
+    EXPECT_EQ(r.seed_misses, 3577u);
+    EXPECT_EQ(r.best_misses, 3549u);
+    EXPECT_EQ(r.seed_objective, 3577.0);
+    EXPECT_EQ(r.best_objective, 3549.0);
+    EXPECT_EQ(r.sim_evals, 14u);
+    EXPECT_EQ(r.sim_cache_hits, 13u);
+    expectRerankCurve(r, {
+                             {3, 3577, 0, 3577.0},
+                             {6, 3575, 0, 3575.0},
+                             {9, 3549, 0, 3549.0},
+                             {12, 3549, 0, 3549.0},
+                         });
+    EXPECT_EQ(r.seed_score, 0x1.2ed128e147ac7p+14);
+    EXPECT_EQ(r.best_score, 0x1.2f262bfffffe5p+14);
+    const std::vector<double> epoch_best = {
+        0x1.2ed128e147ac7p+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2ee75ea3d708ap+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2ee75ea3d708ap+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2ee75ea3d708ap+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2f245f333331bp+14, 0x1.2f245f333331bp+14,
+        0x1.2f245f333331bp+14, 0x1.2f262bfffffe5p+14,
     };
-    ASSERT_EQ(r.rerank_curve.size(), golden.size());
-    for (std::size_t i = 0; i < golden.size(); ++i) {
-        EXPECT_EQ(r.rerank_curve[i].epoch, golden[i].epoch);
-        EXPECT_EQ(r.rerank_curve[i].misses, golden[i].misses);
-        EXPECT_EQ(r.rerank_curve[i].itlb4k, golden[i].itlb4k);
-        EXPECT_EQ(r.rerank_curve[i].objective, golden[i].objective);
-    }
+    EXPECT_EQ(r.epoch_best, epoch_best);
+}
+
+/** Golden of the flat-mode search above under first-improvement hill
+ *  climbing, the acceptance rule no other test drives. */
+TEST(LayoutSearch, HillClimbSearchMatchesRecordedGolden)
+{
+    Workload& w = shared();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    SearchOptions sopts = pageBudget(42);
+    sopts.page.enabled = false;
+    sopts.algorithm = SearchOptions::Algorithm::HillClimb;
+    const SearchResult r =
+        searchLayout(w.image.prog, w.prof, popts, sopts, &w.buf);
+
+    EXPECT_EQ(addressMapHash(r.layout, w.image.prog),
+              10388897944867955831ULL);
+    EXPECT_EQ(r.seed_score, 0x1.2ed128e147ac7p+14);
+    EXPECT_EQ(r.best_score, 0x1.2f29f15c28f44p+14);
+    EXPECT_EQ(r.sim_evals, 15u);
+    EXPECT_EQ(r.sim_cache_hits, 14u);
+    expectRerankCurve(r, {
+                             {3, 3577, 0, 3577.0},
+                             {6, 3575, 0, 3575.0},
+                             {9, 3569, 0, 3569.0},
+                             {12, 3561, 0, 3561.0},
+                         });
+    const std::vector<double> epoch_best = {
+        0x1.2ed128e147ac7p+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2ee75ea3d708ap+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2ee75ea3d708ap+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2ee75ea3d708ap+14, 0x1.2ee75ea3d708ap+14,
+        0x1.2f1b50cccccb3p+14, 0x1.2f21be28f5c1p+14,
+        0x1.2f29f15c28f44p+14, 0x1.2f29f15c28f44p+14,
+    };
+    EXPECT_EQ(r.epoch_best, epoch_best);
 }
 
 TEST(LayoutSearch, ProgressIsMonotoneAndNeverBelowSeed)
