@@ -21,9 +21,9 @@
  * rate matches the Poisson configuration but whose arrivals clump).
  *
  * Determinism: each session derives its stream from support::Pcg32
- * (seed, session-id) pairs, and the merge is an explicit stable sort by
- * (time, session), so the generated stream is byte-stable for a seed
- * regardless of session count ordering, host, or thread pool.
+ * (seed, session-id) pairs, and the merge orders by (time, session),
+ * so the generated stream is byte-stable for a seed regardless of
+ * host or thread pool.
  */
 
 namespace spikesim::serve {
@@ -66,6 +66,13 @@ struct ArrivalConfig
  * id, and a session's own arrivals stay in generation order.
  */
 std::vector<Arrival> generateArrivals(const ArrivalConfig& config);
+
+/**
+ * The unmerged stream: every session's arrivals, appended session by
+ * session, each in generation order. generateArrivals() is a stable
+ * sort of this by time.
+ */
+std::vector<Arrival> sessionArrivals(const ArrivalConfig& config);
 
 } // namespace spikesim::serve
 

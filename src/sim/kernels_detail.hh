@@ -1615,6 +1615,23 @@ struct PriceImage
     const std::uint32_t* size = nullptr; ///< instructions
 };
 
+/** A layout's block tables for a walk over a BlockStream, checked to
+ *  cover the stream's `blocks` ids of that image (empty when the
+ *  stream has none; `layout` may then be null). */
+inline PriceImage
+imageTables(const core::Layout* layout, std::uint32_t blocks)
+{
+    if (blocks == 0)
+        return {};
+    SPIKESIM_ASSERT(layout != nullptr,
+                    "replaying kernel events requires a kernel layout");
+    SPIKESIM_ASSERT(blocks <= layout->blockSizes().size(),
+                    "layout covers " << layout->blockSizes().size()
+                                     << " blocks, stream needs "
+                                     << blocks);
+    return {layout->blockAddrs().data(), layout->blockSizes().data()};
+}
+
 /** One CPU's pricing walk: inputs, and outputs written (not summed). */
 struct PriceShard
 {

@@ -43,25 +43,6 @@ buildBlockStream(const trace::TraceBuffer& trace, StreamFilter filter)
     return out;
 }
 
-namespace {
-
-/** The image's block tables, checked to cover every streamed id. */
-detail::PriceImage
-priceImage(const core::Layout* layout, std::uint32_t blocks)
-{
-    if (blocks == 0)
-        return {};
-    SPIKESIM_ASSERT(layout != nullptr,
-                    "replaying kernel events requires a kernel layout");
-    SPIKESIM_ASSERT(blocks <= layout->blockSizes().size(),
-                    "layout covers " << layout->blockSizes().size()
-                                     << " blocks, stream needs "
-                                     << blocks);
-    return {layout->blockAddrs().data(), layout->blockSizes().data()};
-}
-
-} // namespace
-
 LayoutPrice
 priceLayout(const BlockStream& stream, const core::Layout& app,
             const core::Layout* kernel, const mem::CacheConfig& config,
@@ -71,8 +52,8 @@ priceLayout(const BlockStream& stream, const core::Layout& app,
     out.itlb.assign(specs.size(), ITlbReplayResult());
     std::vector<ITlbReplayResult> cpu_itlb(specs.size());
     detail::PriceShard sh;
-    sh.app = priceImage(&app, stream.app_blocks);
-    sh.kernel = priceImage(kernel, stream.kernel_blocks);
+    sh.app = detail::imageTables(&app, stream.app_blocks);
+    sh.kernel = detail::imageTables(kernel, stream.kernel_blocks);
     sh.config = &config;
     sh.specs = specs.data();
     sh.n_specs = specs.size();

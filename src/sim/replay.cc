@@ -1,12 +1,10 @@
 #include "sim/replay.hh"
 
 #include <algorithm>
-#include <bit>
-#include <span>
 #include <unordered_map>
 
-#include "mem/lrustack.hh"
 #include "sim/soa.hh"
+#include "sim/sweep.hh"
 #include "support/panic.hh"
 
 namespace spikesim::sim {
@@ -152,239 +150,6 @@ SweepResult::misses(std::uint32_t size_bytes, std::uint32_t line_bytes,
                     "associativity " << assoc << " not in sweep");
     return misses_[index(sit->second, lineIndex(line_bytes),
                          ait->second)];
-}
-
-namespace {
-
-/**
- * Simulation state for one line size of a sweep. Passes are mutually
- * independent, so one trace walk can drive any number of them (fused
- * serial path) or each can run on its own thread (parallel executor).
- */
-struct LinePass
-{
-    std::uint32_t line = 0;
-    std::uint32_t shift = 0;
-    std::uint64_t low_mask = 0;
-    std::vector<std::uint32_t> set_counts; ///< unique, insertion order
-    std::vector<std::uint32_t> caps;       ///< parallel: deepest assoc
-    std::vector<std::size_t> sim_of;       ///< (si, ai) -> sim index
-    bool direct_mapped = false;            ///< every assoc is 1
-
-    // Direct-mapped state: flat last-line tags, one slot per set, per
-    // simulator, per CPU.
-    std::vector<std::size_t> offset; ///< table start per sim index
-    std::size_t bank_slots = 0;      ///< slots per CPU bank
-    std::vector<std::uint64_t> tables;
-    std::vector<std::uint64_t> masks;
-    std::size_t k_min = 0; ///< fewest-set sim index
-    std::vector<std::uint64_t> dm_hits;
-    std::vector<std::uint64_t> inclusive_hits; ///< per CPU
-
-    // General state: one stack-distance simulator per set count per
-    // CPU answers every associativity of that set count at once.
-    std::vector<mem::LruStackSim> sims;
-
-    std::uint64_t accesses = 0;
-    std::uint64_t repeat_hits = 0; ///< distance-0 in every config
-    std::vector<std::uint64_t> last_line; ///< per CPU
-};
-
-LinePass
-makeLinePass(const SweepSpec& spec, std::size_t line_index,
-             std::size_t num_cpus)
-{
-    LinePass p;
-    p.line = spec.line_bytes[line_index];
-    p.shift = static_cast<std::uint32_t>(std::bit_width(p.line) - 1);
-    p.low_mask = p.line - 1;
-
-    // Configurations sharing a set count share one simulator: (size S,
-    // assoc A) at this line size uses S / (line * A) sets, and one
-    // per-set distance histogram answers every associativity.
-    const std::size_t num_sizes = spec.size_bytes.size();
-    const std::size_t num_assocs = spec.assocs.size();
-    p.sim_of.resize(num_sizes * num_assocs);
-    for (std::size_t si = 0; si < num_sizes; ++si) {
-        for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-            mem::CacheConfig config{spec.size_bytes[si], p.line,
-                                    spec.assocs[ai]};
-            std::uint32_t sets = config.numSets();
-            std::size_t k = 0;
-            while (k < p.set_counts.size() && p.set_counts[k] != sets)
-                ++k;
-            if (k == p.set_counts.size()) {
-                p.set_counts.push_back(sets);
-                p.caps.push_back(config.assoc);
-            } else {
-                p.caps[k] = std::max(p.caps[k], config.assoc);
-            }
-            p.sim_of[si * num_assocs + ai] = k;
-        }
-    }
-
-    const std::size_t num_sims = p.set_counts.size();
-    std::uint32_t max_cap = 0;
-    for (std::uint32_t cap : p.caps)
-        max_cap = std::max(max_cap, cap);
-    p.direct_mapped = max_cap == 1;
-    p.last_line.assign(num_cpus, ~0ULL);
-
-    if (p.direct_mapped) {
-        p.offset.assign(num_sims + 1, 0);
-        for (std::size_t k = 0; k < num_sims; ++k)
-            p.offset[k + 1] = p.offset[k] + p.set_counts[k];
-        p.bank_slots = p.offset[num_sims];
-        p.tables.assign(num_cpus * p.bank_slots, ~0ULL);
-        p.masks.resize(num_sims);
-        for (std::size_t k = 0; k < num_sims; ++k) {
-            p.masks[k] = p.set_counts[k] - 1;
-            if (p.set_counts[k] < p.set_counts[p.k_min])
-                p.k_min = k;
-        }
-        p.dm_hits.assign(num_cpus * num_sims, 0);
-        p.inclusive_hits.assign(num_cpus, 0);
-    } else {
-        p.sims.reserve(num_cpus * num_sims);
-        for (std::size_t c = 0; c < num_cpus; ++c)
-            for (std::size_t k = 0; k < num_sims; ++k)
-                p.sims.emplace_back(p.set_counts[k], p.caps[k]);
-    }
-    return p;
-}
-
-/**
- * Walk the resolved trace once, feeding every pass. The direct-mapped
- * inner loop is a one-deep LRU stack -- a flat array of line tags --
- * with two fast paths: a line equal to this CPU's previous line is the
- * most recently used entry of its set under every set mask (a hit
- * everywhere, no state change), and a hit in the fewest-set table
- * implies a hit in every table. The set masks are nested (all low-bit
- * masks), so lines sharing a set under a finer mask share one under
- * the coarser mask too: if the coarsest table's slot holds this line,
- * the line was also the last access to its set in every finer table
- * and all slots already hold it -- one compare, no stores. Instruction
- * streams are sequential enough that these two paths take the vast
- * majority of accesses.
- */
-void
-runLinePasses(const ResolvedTrace& trace, std::span<LinePass> passes)
-{
-    for (const ResolvedRef& r : trace.refs) {
-        const std::uint64_t end = r.addr + r.bytes;
-        const std::size_t cpu = r.cpu;
-        for (LinePass& p : passes) {
-            const std::uint32_t line = p.line;
-            const std::uint32_t shift = p.shift;
-            std::uint64_t last = p.last_line[cpu];
-            std::uint64_t acc = 0;
-            std::uint64_t rep = 0;
-            const std::size_t num_sims = p.set_counts.size();
-            if (p.direct_mapped) {
-                std::uint64_t* bank = &p.tables[cpu * p.bank_slots];
-                std::uint64_t* hits = &p.dm_hits[cpu * num_sims];
-                const std::uint64_t* small = &bank[p.offset[p.k_min]];
-                const std::uint64_t small_mask = p.masks[p.k_min];
-                std::uint64_t incl = 0;
-                for (std::uint64_t a = r.addr & ~p.low_mask; a < end;
-                     a += line) {
-                    ++acc;
-                    std::uint64_t ln = a >> shift;
-                    if (ln == last) {
-                        ++rep;
-                        continue;
-                    }
-                    last = ln;
-                    if (small[ln & small_mask] == ln) {
-                        ++incl;
-                        continue;
-                    }
-                    for (std::size_t k = 0; k < num_sims; ++k) {
-                        std::uint64_t* slot =
-                            &bank[p.offset[k] + (ln & p.masks[k])];
-                        hits[k] += (*slot == ln);
-                        *slot = ln;
-                    }
-                }
-                p.inclusive_hits[cpu] += incl;
-            } else {
-                mem::LruStackSim* bank = &p.sims[cpu * num_sims];
-                for (std::uint64_t a = r.addr & ~p.low_mask; a < end;
-                     a += line) {
-                    ++acc;
-                    std::uint64_t ln = a >> shift;
-                    if (ln == last) {
-                        ++rep;
-                        continue;
-                    }
-                    last = ln;
-                    for (std::size_t k = 0; k < num_sims; ++k)
-                        bank[k].access(ln);
-                }
-            }
-            p.last_line[cpu] = last;
-            p.accesses += acc;
-            p.repeat_hits += rep;
-        }
-    }
-}
-
-/**
- * Fold a finished pass into its line's slice of the result arrays.
- * `misses_out` points at the contiguous [si][ai] block for this line.
- */
-void
-finishLinePass(const SweepSpec& spec, const LinePass& p,
-               std::size_t num_cpus, std::uint64_t* accesses_out,
-               std::uint64_t* misses_out)
-{
-    const std::size_t num_sizes = spec.size_bytes.size();
-    const std::size_t num_assocs = spec.assocs.size();
-    const std::size_t num_sims = p.set_counts.size();
-    *accesses_out = p.accesses;
-    for (std::size_t si = 0; si < num_sizes; ++si) {
-        for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-            std::uint64_t hits = p.repeat_hits;
-            std::size_t k = p.sim_of[si * num_assocs + ai];
-            for (std::size_t c = 0; c < num_cpus; ++c)
-                hits += p.direct_mapped
-                            ? p.dm_hits[c * num_sims + k] +
-                                  p.inclusive_hits[c]
-                            : p.sims[c * num_sims + k].hitsUpTo(
-                                  spec.assocs[ai]);
-            misses_out[si * num_assocs + ai] = p.accesses - hits;
-        }
-    }
-}
-
-} // namespace
-
-void
-sweepLineSize(const ResolvedTrace& trace, const SweepSpec& spec,
-              std::size_t line_index, SweepResult& out)
-{
-    const std::size_t num_cpus =
-        static_cast<std::size_t>(trace.num_cpus);
-    LinePass pass = makeLinePass(spec, line_index, num_cpus);
-    runLinePasses(trace, {&pass, 1});
-    finishLinePass(spec, pass, num_cpus, &out.accesses_[line_index],
-                   &out.misses_[out.index(0, line_index, 0)]);
-}
-
-void
-sweepAllLines(const ResolvedTrace& trace, const SweepSpec& spec,
-              SweepResult& out)
-{
-    const std::size_t num_cpus =
-        static_cast<std::size_t>(trace.num_cpus);
-    std::vector<LinePass> passes;
-    passes.reserve(spec.line_bytes.size());
-    for (std::size_t li = 0; li < spec.line_bytes.size(); ++li)
-        passes.push_back(makeLinePass(spec, li, num_cpus));
-    runLinePasses(trace, passes);
-    for (std::size_t li = 0; li < spec.line_bytes.size(); ++li)
-        finishLinePass(spec, passes[li], num_cpus, &out.accesses_[li],
-                       &out.misses_[out.index(0, li, 0)]);
 }
 
 ResolvedTrace
@@ -578,12 +343,8 @@ Replayer::resolveSoA(StreamFilter filter, bool include_data) const
 SweepResult
 Replayer::icacheSweep(const SweepSpec& spec, StreamFilter filter) const
 {
-    std::string err = spec.check();
-    SPIKESIM_ASSERT(err.empty(), "bad sweep spec: " << err);
-    ResolvedTrace resolved = resolve(filter);
-    SweepResult out(spec);
-    sweepAllLines(resolved, spec, out);
-    return out;
+    const SweepJob job{&app_, kernel_, filter, spec, "icacheSweep"};
+    return runSweepJobs(trace_, {job}).front();
 }
 
 WordStats

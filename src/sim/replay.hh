@@ -180,10 +180,8 @@ class SweepResult
     }
 
   private:
-    friend void sweepLineSize(const ResolvedTrace&, const SweepSpec&,
-                              std::size_t, SweepResult&);
-    friend void sweepAllLines(const ResolvedTrace&, const SweepSpec&,
-                              SweepResult&);
+    /** The sweep engine (sim/sweep.cc) stores its folded counts. */
+    friend struct SweepFold;
 
     std::size_t lineIndex(std::uint32_t line_bytes) const;
     std::size_t index(std::size_t si, std::size_t li,
@@ -199,26 +197,6 @@ class SweepResult
     std::unordered_map<std::uint32_t, std::size_t> line_index_;
     std::unordered_map<std::uint32_t, std::size_t> assoc_index_;
 };
-
-/**
- * Run the single-pass sweep for one line size of the spec, filling that
- * line's slice of `out`. Distinct line indices touch disjoint slices,
- * so concurrent calls on the same result are safe — the parallel sweep
- * executor (sim/sweep.hh) relies on this.
- */
-void sweepLineSize(const ResolvedTrace& trace, const SweepSpec& spec,
-                   std::size_t line_index, SweepResult& out);
-
-/**
- * Run the sweep for every line size of the spec in ONE pass over the
- * resolved trace. Equivalent to calling sweepLineSize for each line
- * index, but the per-reference loop overhead (which dominates for short
- * basic blocks) is paid once instead of once per line size. This is the
- * serial fast path; the parallel executor uses sweepLineSize so line
- * sizes can run on different threads.
- */
-void sweepAllLines(const ResolvedTrace& trace, const SweepSpec& spec,
-                   SweepResult& out);
 
 /** App/kernel interference matrix (Figure 13). */
 struct InterferenceMatrix
@@ -347,12 +325,13 @@ class Replayer
                                 bool include_data = false) const;
 
     /**
-     * Single-pass cache sweep: resolves the trace once and prices every
-     * configuration of the spec via per-set LRU stack distances
-     * (mem::LruStackSim). Miss counts are bit-identical to running
-     * icache() once per configuration, at a fraction of the cost; only
-     * the owner/interference attribution is unavailable (use the
-     * per-config path for Figure 13 style studies).
+     * Single-pass cache sweep: runSweepJobs (sim/sweep.hh) on this
+     * replayer's layouts, serially. One walk of the filtered block
+     * stream prices every configuration of the spec. Miss counts are
+     * bit-identical to running icache() once per configuration, at a
+     * fraction of the cost; only the owner/interference attribution
+     * is unavailable (use the per-config path for Figure 13 style
+     * studies).
      */
     SweepResult icacheSweep(const SweepSpec& spec,
                             StreamFilter filter) const;

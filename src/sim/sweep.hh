@@ -9,13 +9,17 @@
 
 /**
  * @file
- * Parallel sweep executor: runs many single-pass cache sweeps —
- * independent (layout x stream-filter x line-size) jobs — concurrently
- * over one shared read-only TraceBuffer. The trace is resolved once
- * per job (the layouts differ), then every line size of every job
- * becomes its own task; tasks write disjoint slices of their job's
- * SweepResult, so no synchronization beyond the pool's barrier is
- * needed.
+ * The i-cache sweep engine: prices every (size x line x assoc)
+ * configuration of many jobs -- (layout pair, stream filter, spec) --
+ * over one shared read-only TraceBuffer. The trace is reduced once per
+ * distinct filter to a layout-independent BlockStream (sim/soa.hh, 4
+ * bytes per ref). Each (job, CPU) pair is then one task: it walks that
+ * CPU's block ids once, gathers each ref's (addr, bytes) from the
+ * job's block tables, skips zero-size blocks, and drives every line
+ * size's pass from that walk (direct-mapped tag tables with the
+ * repeat-line and fewest-set fast paths, or per-set LRU stacks when
+ * any assoc > 1). Integer counts are folded in CPU order, so results
+ * are identical at any pool width and with no pool.
  */
 
 namespace spikesim::sim {
@@ -35,8 +39,8 @@ struct SweepJob
 };
 
 /**
- * Run every job's sweep over the trace. With a pool, resolution and
- * per-line-size simulation tasks run on the workers; with `pool`
+ * Run every job's sweep over the trace. With a pool, the block-stream
+ * builds and the (job, CPU) walks run on the workers; with `pool`
  * null everything runs serially on the caller. Results are returned
  * in job order and are identical either way.
  */

@@ -82,6 +82,65 @@ TEST(Arrival, BurstyMatchesLongRunRate)
     EXPECT_LT(ratio, 1.15);
 }
 
+TEST(Arrivals, RadixMergeMatchesStableSortOracle)
+{
+    // The merge must equal a stable sort of the session-major stream
+    // by (time, session): across both processes, several seeds and
+    // session counts, time ranges needing one to three 16-bit digit
+    // passes, and a dense rate that forces equal times across
+    // sessions.
+    struct Shape
+    {
+        double rate;
+        std::uint64_t horizon;
+    };
+    const Shape shapes[] = {
+        {1e-3, 1'000'000},              // two digit passes
+        {1e-9, 1'000'000'000'000ULL},  // three digit passes
+        {4.0, 2'000},                   // one pass, many ties
+    };
+    std::size_t ties = 0;
+    for (serve::ArrivalKind kind :
+         {serve::ArrivalKind::Poisson, serve::ArrivalKind::Bursty}) {
+        for (std::uint64_t seed : {1u, 7u, 99u}) {
+            for (std::uint32_t sessions : {1u, 13u, 200u}) {
+                for (const Shape& shape : shapes) {
+                    serve::ArrivalConfig c;
+                    c.kind = kind;
+                    c.seed = seed;
+                    c.sessions = sessions;
+                    c.rate = shape.rate;
+                    c.horizon_cycles = shape.horizon;
+                    c.mean_on_cycles =
+                        static_cast<double>(shape.horizon) / 20.0;
+                    std::vector<serve::Arrival> oracle =
+                        serve::sessionArrivals(c);
+                    std::stable_sort(
+                        oracle.begin(), oracle.end(),
+                        [](const serve::Arrival& a,
+                           const serve::Arrival& b) {
+                            if (a.time != b.time)
+                                return a.time < b.time;
+                            return a.session < b.session;
+                        });
+                    const std::vector<serve::Arrival> got =
+                        serve::generateArrivals(c);
+                    ASSERT_EQ(got.size(), oracle.size());
+                    for (std::size_t i = 0; i < got.size(); ++i) {
+                        ASSERT_EQ(got[i].time, oracle[i].time) << i;
+                        ASSERT_EQ(got[i].session, oracle[i].session)
+                            << i;
+                        if (i > 0 && got[i].time == got[i - 1].time &&
+                            got[i].session != got[i - 1].session)
+                            ++ties;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(ties, 0u);
+}
+
 TEST(Arrival, ConfigCheckCatchesNonsense)
 {
     serve::ArrivalConfig c = smallArrivals();

@@ -3,20 +3,26 @@
  * Tests for the single-pass multi-configuration sweep engine: the LRU
  * stack-distance simulator against the set-associative reference, the
  * sweep API against per-config replay (randomized differential), and
- * the parallel executor against the serial path.
+ * the pooled (job, CPU) executor against the serial path at several
+ * pool widths.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/layout.hh"
+#include "core/pipeline.hh"
 #include "mem/cache.hh"
 #include "mem/lrustack.hh"
+#include "profile/profile.hh"
 #include "program/builder.hh"
 #include "sim/sweep.hh"
 #include "support/rng.hh"
 #include "support/threadpool.hh"
+#include "synth/synthprog.hh"
+#include "synth/walker.hh"
 
 namespace spikesim::sim {
 namespace {
@@ -200,30 +206,123 @@ TEST(Sweep, MatchesPerConfigReplayRandomized)
     }
 }
 
-TEST(Sweep, SweepLineSizeFillsOneSliceAtATime)
+/**
+ * A synthetic image in which every other unconditional branch block is
+ * branch-only (one instruction), so a chain+split layout that makes
+ * its target the fall-through deletes the branch and leaves a
+ * zero-size block.
+ */
+synth::SyntheticProgram
+withBranchOnlyBlocks(synth::SyntheticProgram image)
 {
-    // sweepLineSize (the parallel executor's unit of work) and
-    // sweepAllLines (the fused serial path) must agree.
-    Program app = randomProgram("app", 40, 5);
-    core::Layout layout = core::baselineLayout(app, 0);
-    trace::TraceBuffer buf = randomTrace(40, 5000, 2, 6);
-    Replayer rep(buf, layout);
+    int seen = 0;
+    for (program::ProcId p = 0; p < image.prog.numProcs(); ++p)
+        for (program::BasicBlock& blk : image.prog.proc(p).blocks)
+            if (blk.term == Terminator::UncondBranch && seen++ % 2 == 0)
+                blk.sizeInstrs = 1;
+    return image;
+}
 
-    SweepSpec spec;
-    spec.size_bytes = {16 * 1024, 64 * 1024};
-    spec.line_bytes = {32, 128};
-    spec.assocs = {1, 2};
-    ResolvedTrace resolved = rep.resolve(StreamFilter::AppOnly);
-    SweepResult per_line(spec);
-    for (std::size_t li = 0; li < spec.line_bytes.size(); ++li)
-        sweepLineSize(resolved, spec, li, per_line);
-    SweepResult fused(spec);
-    sweepAllLines(resolved, spec, fused);
-    for (std::uint32_t size : spec.size_bytes)
-        for (std::uint32_t line : spec.line_bytes)
-            for (std::uint32_t assoc : spec.assocs)
-                EXPECT_EQ(per_line.misses(size, line, assoc),
-                          fused.misses(size, line, assoc));
+TEST(Sweep, PoolWidthsAgree)
+{
+    // Chain+split layouts of an app and a kernel image, profiled on a
+    // 3-CPU trace that interleaves both images plus data events.
+    synth::SyntheticProgram app = withBranchOnlyBlocks(
+        synth::buildSyntheticProgram(synth::SynthParams::kernelLike(5)));
+    synth::SyntheticProgram kern = withBranchOnlyBlocks(
+        synth::buildSyntheticProgram(synth::SynthParams::kernelLike(11)));
+    profile::Profile app_prof(app.prog);
+    profile::Profile kern_prof(kern.prog);
+    trace::TraceBuffer buf;
+    {
+        profile::ProfileRecorder app_rec(trace::ImageId::App, app_prof);
+        profile::ProfileRecorder kern_rec(trace::ImageId::Kernel,
+                                          kern_prof);
+        trace::TeeSink app_tee({&app_rec, &buf});
+        trace::TeeSink kern_tee({&kern_rec, &buf});
+        synth::CfgWalker app_walk(app.prog, trace::ImageId::App, 5);
+        synth::CfgWalker kern_walk(kern.prog, trace::ImageId::Kernel, 11);
+        const char* entries[] = {"sys_read", "sched_switch"};
+        for (int i = 0; i < 12; ++i) {
+            trace::ExecContext ctx;
+            ctx.cpu = static_cast<std::uint8_t>(i % 3);
+            app_walk.run(app.entry(entries[i % 2]), ctx, app_tee);
+            kern_walk.run(kern.entry(entries[(i / 2) % 2]), ctx,
+                          kern_tee);
+            buf.onData(ctx, 0x80000000ULL + 64 * static_cast<unsigned>(i));
+        }
+    }
+    ASSERT_EQ(buf.numCpus(), 3);
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::ChainSplit;
+    const core::Layout app_layout =
+        core::buildLayout(app.prog, app_prof, popts);
+    popts.text_base = 0x400000;
+    const core::Layout kern_layout =
+        core::buildLayout(kern.prog, kern_prof, popts);
+
+    std::uint64_t zero_size_refs = 0;
+    for (const trace::TraceEvent& e : buf.events()) {
+        if (e.image == trace::ImageId::App)
+            zero_size_refs += app_layout.blockSize(e.block) == 0;
+        else if (e.image == trace::ImageId::Kernel)
+            zero_size_refs += kern_layout.blockSize(e.block) == 0;
+    }
+    ASSERT_GT(zero_size_refs, 0u);
+
+    std::vector<SweepJob> jobs;
+    for (StreamFilter filter : {StreamFilter::AppOnly,
+                                StreamFilter::KernelOnly,
+                                StreamFilter::Combined}) {
+        for (std::vector<std::uint32_t> assocs :
+             {std::vector<std::uint32_t>{1},
+              std::vector<std::uint32_t>{1, 4}}) {
+            SweepSpec spec;
+            spec.size_bytes = {4 * 1024, 16 * 1024, 64 * 1024};
+            spec.line_bytes = {16, 64, 256};
+            spec.assocs = assocs;
+            jobs.push_back({&app_layout, &kern_layout, filter, spec,
+                            std::to_string(static_cast<int>(filter)) +
+                                "/" + std::to_string(assocs.size())});
+        }
+    }
+
+    const Replayer rep(buf, app_layout, &kern_layout);
+    std::vector<std::vector<SweepResult>> runs;
+    runs.push_back(runSweepJobs(buf, jobs, nullptr));
+    for (int width : {1, 2, 4}) {
+        support::ThreadPool pool(width);
+        runs.push_back(runSweepJobs(buf, jobs, &pool));
+    }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const SweepSpec& spec = jobs[j].spec;
+        const SweepResult oracle = rep.icacheSweep(spec, jobs[j].filter);
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            ASSERT_EQ(runs[r].size(), jobs.size());
+            for (std::uint32_t size : spec.size_bytes) {
+                for (std::uint32_t line : spec.line_bytes) {
+                    EXPECT_EQ(runs[r][j].accesses(line),
+                              oracle.accesses(line))
+                        << jobs[j].label << " run " << r;
+                    for (std::uint32_t assoc : spec.assocs)
+                        EXPECT_EQ(runs[r][j].misses(size, line, assoc),
+                                  oracle.misses(size, line, assoc))
+                            << jobs[j].label << " run " << r << " "
+                            << mem::CacheConfig{size, line, assoc}.label();
+                }
+            }
+        }
+        // The zero-size skip must also match the per-config oracle.
+        for (std::uint32_t size : spec.size_bytes)
+            for (std::uint32_t line : spec.line_bytes)
+                for (std::uint32_t assoc : spec.assocs)
+                    EXPECT_EQ(oracle.misses(size, line, assoc),
+                              rep.icache({size, line, assoc},
+                                         jobs[j].filter)
+                                  .misses)
+                        << jobs[j].label << " "
+                        << mem::CacheConfig{size, line, assoc}.label();
+    }
 }
 
 TEST(Sweep, ParallelJobsMatchSerial)
