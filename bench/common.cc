@@ -282,6 +282,36 @@ seedFromEnv(std::uint64_t fallback)
     return parseTxnCount("SPIKESIM_SEED", v, "seed");
 }
 
+sim::KernelChoice
+resolveKernelForTrace(sim::SimdMode mode, const sim::System& system,
+                      const trace::TraceBuffer& buf)
+{
+    // When Auto-mode calibration is going to run (no --simd flag, no
+    // SPIKESIM_SIMD, at least one vector kernel runnable), ground it on
+    // a slice of the real resolved trace instead of the synthetic one:
+    // the synthetic trace's fetch-run shape has picked AVX-512 on hosts
+    // where AVX2 measures faster on the actual workload. The baseline
+    // layouts are the cheapest resolvable pair and the slice only has
+    // to be representative of run shape, not of layout quality.
+    if (mode == sim::SimdMode::Auto &&
+        sim::simdModeFromEnv() == sim::SimdMode::Auto &&
+        (sim::simdAvailable() || sim::avx512Available()) &&
+        buf.events().size() > 0) {
+        const core::Layout app = core::baselineLayout(
+            system.appProg(), system.config().app_text_base);
+        const core::Layout kernel = core::baselineLayout(
+            system.kernelProg(), system.config().kernel_text_base);
+        const sim::Replayer rep(buf, app, &kernel);
+        sim::seedCalibrationTrace(
+            rep.resolveSoA(sim::StreamFilter::Combined));
+    }
+    // Resolve eagerly: a forced-but-unavailable --simd 1|2 must fail
+    // here, before any replay silently runs scalar. In Auto mode this
+    // also runs (and caches) the startup calibration, so the choice
+    // and its reason are known before the first replay.
+    return sim::resolveKernel(mode);
+}
+
 Workload
 runWorkload(int argc, char** argv, std::uint64_t profile_txns,
             std::uint64_t trace_txns)
@@ -403,28 +433,8 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
     w.threads = threads >= 0 ? threads : threadsFromEnv();
     w.seed = seed_set ? seed : seedFromEnv();
     w.simd = simd;
-    // When Auto-mode calibration is going to run (no --simd flag, no
-    // SPIKESIM_SIMD, at least one vector kernel runnable), ground it on
-    // a slice of the real resolved trace instead of the synthetic one:
-    // the synthetic trace's fetch-run shape has picked AVX-512 on hosts
-    // where AVX2 measures faster on the actual workload. The baseline
-    // layouts are the cheapest resolvable pair and the slice only has
-    // to be representative of run shape, not of layout quality.
-    if (w.simd == sim::SimdMode::Auto &&
-        sim::simdModeFromEnv() == sim::SimdMode::Auto &&
-        (sim::simdAvailable() || sim::avx512Available()) &&
-        w.buf.events().size() > 0) {
-        const core::Layout app = w.appLayout(core::OptCombo::Base);
-        const core::Layout kernel = w.kernelLayout();
-        const sim::Replayer rep(w.buf, app, &kernel);
-        sim::seedCalibrationTrace(
-            rep.resolveSoA(sim::StreamFilter::Combined));
-    }
-    // Resolve eagerly: a forced-but-unavailable --simd 1|2 must fail
-    // here, before any replay silently runs scalar. In Auto mode this
-    // also runs (and caches) the startup calibration, so the choice
-    // and its reason are known before the first replay.
-    const sim::KernelChoice choice = sim::resolveKernel(w.simd);
+    const sim::KernelChoice choice =
+        resolveKernelForTrace(w.simd, *w.system, w.buf);
     if (w.threads > 0)
         w.worker_pool =
             std::make_unique<support::ThreadPool>(w.threads);

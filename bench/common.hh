@@ -53,13 +53,13 @@
  * SIMD kernel selection is shared the same way: `--simd 0|1|2` (or the
  * SPIKESIM_SIMD environment variable, the flag wins) forces the SoA
  * replay kernels scalar, AVX2, or AVX-512; unset means runtime
- * auto-calibration (sim/kernels.hh resolveKernel, which times each
- * runnable kernel on a synthetic trace and picks the fastest). The
- * engine path of BenchReplay replays through the structure-of-arrays
- * trace either way, and every setting is byte-identical to every
- * other — `--simd` only moves time. The chosen kernel and the reason
- * it was chosen land in the run manifest (simd_kernel,
- * simd_kernel_reason).
+ * auto-calibration (resolveKernelForTrace below, which times each
+ * runnable kernel on a slice of the captured trace and picks the
+ * fastest). The engine path of BenchReplay replays through the
+ * structure-of-arrays trace either way, and every setting is
+ * byte-identical to every other — `--simd` only moves time. The
+ * chosen kernel and the reason it was chosen land in the run manifest
+ * (simd_kernel, simd_kernel_reason).
  *
  * When any observability switch is active, ObsRun also opens hardware
  * perf counters (obs/perf.hh) over the whole run and folds cycles,
@@ -262,14 +262,14 @@ struct Workload
 /**
  * Replay dispatcher for the figure benches: one trace + layout pair,
  * replayed either by the scalar per-config Replayer walks (no pool —
- * the differential oracle path) or by the parallel replay engine over
- * a per-CPU-partitioned structure-of-arrays trace (sim/soa.hh) cached
- * per (filter, data) key. Both paths produce bit-identical results
- * (sim/engine.hh), so every bench table is byte-identical across
- * `--threads` and `--simd` settings; the engine path resolves the
- * trace straight into its SoA columns once per key
- * (Replayer::resolveSoA — no transpose) and fuses all configurations
- * of a column into one walk through the SoA replay kernels.
+ * the oracle) or by the production replay path, the SoA kernels of
+ * sim/engine.hh over a per-CPU-partitioned structure-of-arrays trace
+ * (sim/soa.hh) cached per (filter, data) key. Both paths produce
+ * bit-identical results, so every bench table is byte-identical across
+ * `--threads` and `--simd` settings; the production path resolves the
+ * trace into its SoA columns once per key (Replayer::resolveSoA) and
+ * fuses all configurations of a column into one walk through the SoA
+ * replay kernels.
  */
 class BenchReplay
 {
@@ -377,6 +377,21 @@ class BenchReplay
 Workload runWorkload(int argc, char** argv,
                      std::uint64_t profile_txns = 800,
                      std::uint64_t trace_txns = 500);
+
+/**
+ * Resolve the SoA kernel choice for a captured trace; runWorkload and
+ * the benches that capture their own trace both call it, after capture
+ * and before the first replay. When Auto-mode calibration is going to
+ * run (`mode` Auto, SPIKESIM_SIMD unset, a vector kernel runnable, a
+ * non-empty trace), it is first seeded (sim::seedCalibrationTrace)
+ * with the trace resolved under the system's baseline layouts, so the
+ * kernels are timed on the workload's own fetch-run shape rather than
+ * the synthetic calibration trace's. A forced kernel the host cannot
+ * run is fatal here.
+ */
+sim::KernelChoice resolveKernelForTrace(sim::SimdMode mode,
+                                        const sim::System& system,
+                                        const trace::TraceBuffer& buf);
 
 /**
  * Thread count from SPIKESIM_THREADS, or the hardware concurrency when

@@ -121,9 +121,13 @@ runSweepComparison()
     }
     auto t1 = clock::now();
 
-    // Single-pass path: one resolution, one pass per line size.
-    sim::SweepResult sweep =
-        rep.icacheSweep(spec, sim::StreamFilter::AppOnly);
+    // Single-pass path: one walk of the block stream per CPU drives
+    // every line size.
+    const sim::SweepResult sweep =
+        sim::runSweepJobs(s.buf, {{&base, nullptr,
+                                   sim::StreamFilter::AppOnly, spec,
+                                   "base"}})
+            .front();
     auto t2 = clock::now();
 
     // Differential check: the sweep must be bit-identical.
@@ -253,10 +257,12 @@ BM_SinglePassSweep(benchmark::State& state)
 {
     Shared& s = shared();
     core::Layout layout = layoutFor(core::OptCombo::Base);
-    sim::Replayer rep(s.buf, layout);
-    sim::SweepSpec spec = fig04Spec();
+    const std::vector<sim::SweepJob> jobs{
+        {&layout, nullptr, sim::StreamFilter::AppOnly, fig04Spec(),
+         "base"}};
+    const sim::SweepSpec& spec = jobs.front().spec;
     for (auto _ : state) {
-        auto r = rep.icacheSweep(spec, sim::StreamFilter::AppOnly);
+        auto r = sim::runSweepJobs(s.buf, jobs).front();
         benchmark::DoNotOptimize(r.misses(64 * 1024, 128, 1));
     }
     // Items = configuration-evaluations (25 per pass).

@@ -1,7 +1,7 @@
 /**
  * @file
- * Headline microbenchmark for the unified parallel replay engine
- * (sim/engine.hh) and the SoA/SIMD replay kernels (sim/kernels.hh).
+ * Headline microbenchmark for the production replay path — the SoA
+ * replay kernels (sim/engine.hh, sim/kernels.hh) — against its oracle.
  * One multiprocessor trace (4 simulated CPUs) is replayed through
  * every simulator family — i-cache columns with interference
  * attribution, three-C classification, stream buffers, word-granular
@@ -10,10 +10,9 @@
  * instruction count — several ways:
  *
  *   per-config oracle   one scalar Replayer walk per configuration
- *   serial fused        resolve once, AoS engine, no thread pool
- *   parallel fused      resolve once, AoS engine sharded across a pool
- *   soa scalar          direct SoA resolve, scalar kernels forced
+ *   soa scalar          Replayer::resolveSoA, scalar kernels forced
  *   soa avx2 / avx512   same, the vector kernels (when runnable here)
+ *   soa pooled          same, the resolved kernel, sharded across a pool
  *
  * All paths must produce bit-identical results (the process exits
  * non-zero on any divergence, which is what the ctest smokes check —
@@ -25,17 +24,19 @@
  * format; the bench_micro_replay_identity ctest compares the dump of
  * a forced-scalar run byte-for-byte against an auto-dispatch run.
  *
- * Timed phases, all in BENCH_replay.json:
+ * The kernel is resolved after the trace is captured, so Auto-mode
+ * calibration times the kernels on a slice of this trace
+ * (bench::resolveKernelForTrace). Timed phases, all in
+ * BENCH_replay.json:
  *
- *  - resolve_direct vs resolve_transpose: Replayer::resolveSoA
- *    against the PR 6 route (resolve to AoS, then sim::toSoA).
+ *  - the resolve phase: Replayer::resolveSoA of the combined stream.
  *  - per-family kernel rows: the three-C, iTLB, and stream-buffer
  *    column replays under each runnable kernel, next to the i-cache
  *    column (the iTLB kernel is FA-LRU-bound, so its rows measure
  *    the grouped flat walk, not vector width).
  *  - the fig04 grid: the paper's 25-configuration direct-mapped
- *    sweep ({32..512}KB x {16..256}B), single-threaded, through the
- *    AoS engine and every runnable SoA kernel.
+ *    sweep ({32..512}KB x {16..256}B), single-threaded, through every
+ *    runnable SoA kernel; vector speedups are against soa scalar.
  *
  * Usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1|2]
  *                     [--skip-unsupported-simd] [--results-out FILE]
@@ -130,9 +131,8 @@ struct SuiteResults
 
 /** How runSuite reaches the simulators. */
 enum class SuitePath {
-    Oracle,   ///< one scalar Replayer walk per configuration
-    FusedAoS, ///< PR 3 engine over the AoS resolved trace
-    FusedSoA, ///< direct SoA resolve; `mode` picks the kernels
+    Oracle, ///< one scalar Replayer walk per configuration
+    SoA,    ///< Replayer::resolveSoA; `mode` picks the kernels
 };
 
 double
@@ -175,23 +175,6 @@ runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
                                          trace::ImageId::App);
         r.dyn_instrs = rep.dynamicInstrs(filter);
         r.replay_seconds = seconds(t0, clock::now());
-    } else if (path == SuitePath::FusedAoS) {
-        sim::ResolvedTrace instr = rep.resolve(filter);
-        sim::ResolvedTrace with_data = rep.resolve(filter, true);
-        sim::ResolvedTrace app_only =
-            rep.resolve(sim::StreamFilter::AppOnly);
-        const auto t1 = clock::now();
-        r.resolve_seconds = seconds(t0, t1);
-        r.icache = sim::replayICache(instr, icfg, pool);
-        r.threec = sim::replayThreeCs(instr, tcfg, pool);
-        r.sbuf = sim::replayStreamBuffer(instr, scfg, kStreamBuffers,
-                                         pool);
-        r.words = sim::replayInstrumented(instr, wcfg, false, pool);
-        r.itlb = sim::replayITlb(instr, specs, pool);
-        r.hier = sim::replayHierarchy(with_data, hcfg, true, pool);
-        r.seq = sim::replaySequence(app_only, pool);
-        r.dyn_instrs = instr.instrs;
-        r.replay_seconds = seconds(t1, clock::now());
     } else {
         sim::ResolvedTraceSoA instr = rep.resolveSoA(filter);
         sim::ResolvedTraceSoA with_data = rep.resolveSoA(filter, true);
@@ -470,8 +453,7 @@ main(int argc, char** argv)
 {
     bench::ObsRun obs(bench::obsOptionsFromEnv(), argc, argv);
     bench::banner("Replay engine microbenchmark",
-                  "per-config oracle vs fused AoS vs SoA kernels "
-                  "(bit-identical)");
+                  "per-config oracle vs SoA kernels (bit-identical)");
 
     std::uint64_t positional[2] = {400, 300};
     int n_positional = 0;
@@ -534,12 +516,6 @@ main(int argc, char** argv)
             return 77;
         }
     }
-    // Resolve the dispatch once, up front: --simd on a host that cannot
-    // run the requested kernels must fail loudly here, not silently
-    // fall back mid-run. Auto runs (and caches) the calibration.
-    const sim::KernelChoice choice = sim::resolveKernel(simd_mode);
-    const char* kernel_name = sim::kernelName(choice.kind);
-
     sim::SystemConfig config;
     config.num_cpus = 4;
     sim::System system(config);
@@ -560,6 +536,13 @@ main(int argc, char** argv)
                                                config.kernel_text_base);
     sim::Replayer rep(buf, app, &kernel);
 
+    // Resolve the dispatch once, before any replay: --simd on a host
+    // that cannot run the requested kernels fails loudly here, and
+    // Auto calibrates (and caches its choice) on this trace.
+    const sim::KernelChoice choice =
+        bench::resolveKernelForTrace(simd_mode, system, buf);
+    const char* kernel_name = sim::kernelName(choice.kind);
+
     const int threads = std::max(1, bench::threadsFromEnv());
     support::ThreadPool pool(threads);
 
@@ -568,16 +551,8 @@ main(int argc, char** argv)
               << " (" << choice.reason << "); replaying...\n";
     SuiteResults oracle =
         runSuite(rep, SuitePath::Oracle, simd_mode, nullptr);
-    SuiteResults fused =
-        runSuite(rep, SuitePath::FusedAoS, simd_mode, nullptr);
-    SuiteResults parallel =
-        runSuite(rep, SuitePath::FusedAoS, simd_mode, &pool);
     SuiteResults soa_scalar =
-        runSuite(rep, SuitePath::FusedSoA, sim::SimdMode::Scalar,
-                 nullptr);
-
-    compareSuites(oracle, fused, "oracle vs serial fused");
-    compareSuites(oracle, parallel, "oracle vs parallel fused");
+        runSuite(rep, SuitePath::SoA, sim::SimdMode::Scalar, nullptr);
     compareSuites(oracle, soa_scalar, "oracle vs soa scalar");
 
     // Which vector kernels get their own comparison rows: --simd 0
@@ -597,7 +572,7 @@ main(int argc, char** argv)
 
     std::vector<SuiteResults> soa_vec(vec_kinds.size());
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
-        soa_vec[v] = runSuite(rep, SuitePath::FusedSoA,
+        soa_vec[v] = runSuite(rep, SuitePath::SoA,
                               modeFor(vec_kinds[v]), nullptr);
         const std::string label =
             std::string("oracle vs soa ") +
@@ -605,31 +580,42 @@ main(int argc, char** argv)
         compareSuites(oracle, soa_vec[v], label.c_str());
     }
 
-    // Resolve-phase A/B: the direct column resolve against the PR 6
-    // route (AoS resolve, then transpose). Same filter, same output.
+    // The pool-sharded production path under the resolved kernel, so
+    // every smoke's dispatch setting also covers the sharded walks.
+    SuiteResults pooled =
+        runSuite(rep, SuitePath::SoA, simd_mode, &pool);
+    compareSuites(oracle, pooled, "oracle vs soa pooled");
+
     const auto filter = sim::StreamFilter::Combined;
-    const double resolve_direct_s =
+    const double resolve_s =
         bestOf([&] { (void)rep.resolveSoA(filter); });
-    const double resolve_transpose_s =
-        bestOf([&] { (void)sim::toSoA(rep.resolve(filter)); });
-    const double resolve_speedup =
-        resolve_transpose_s / resolve_direct_s;
 
     // Headline: the paper's 25-config direct-mapped grid (Figure 4),
     // single-threaded, resolve excluded — this isolates the replay
-    // kernels themselves. PR 3's AoS engine is the baseline the SoA
+    // kernels themselves. SoA scalar is the baseline the vector
     // kernels are measured against.
     const auto grid = fig04Grid();
-    const sim::ResolvedTrace grid_trace = rep.resolve(filter);
     const sim::ResolvedTraceSoA grid_soa = rep.resolveSoA(filter);
-    std::vector<sim::ICacheReplayResult> grid_aos, grid_scalar;
-    const double grid_aos_s = bestOf([&] {
-        grid_aos = sim::replayICache(grid_trace, grid, nullptr);
-    });
+    std::vector<sim::ICacheReplayResult> grid_oracle;
+    for (const auto& c : grid)
+        grid_oracle.push_back(rep.icache(c, filter));
+    auto check_grid = [&](const std::vector<sim::ICacheReplayResult>& col,
+                          sim::KernelKind kind) {
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            if (!sameICache(grid_oracle[i], col[i])) {
+                std::cerr << "[micro_replay] FAIL: fig04 grid config "
+                          << i << " diverges from the oracle under "
+                          << sim::kernelName(kind) << "\n";
+                std::exit(1);
+            }
+        }
+    };
+    std::vector<sim::ICacheReplayResult> grid_scalar;
     const double grid_scalar_s = bestOf([&] {
         grid_scalar = sim::replayICache(grid_soa, grid,
                                         sim::SimdMode::Scalar, nullptr);
     });
+    check_grid(grid_scalar, sim::KernelKind::Scalar);
     std::vector<double> grid_vec_s(vec_kinds.size(), 0.0);
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
         std::vector<sim::ICacheReplayResult> grid_vec;
@@ -637,23 +623,8 @@ main(int argc, char** argv)
             grid_vec = sim::replayICache(grid_soa, grid,
                                          modeFor(vec_kinds[v]), nullptr);
         });
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            if (!sameICache(grid_aos[i], grid_vec[i])) {
-                std::cerr << "[micro_replay] FAIL: fig04 grid config "
-                          << i << " diverges under "
-                          << sim::kernelName(vec_kinds[v]) << "\n";
-                return 1;
-            }
-        }
+        check_grid(grid_vec, vec_kinds[v]);
     }
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameICache(grid_aos[i], grid_scalar[i])) {
-            std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
-                      << " diverges across kernels\n";
-            return 1;
-        }
-    }
-    const double grid_scalar_speedup = grid_aos_s / grid_scalar_s;
 
     // Per-family column timings under each kernel, over the same SoA
     // trace: where each family's vector port pays (or, for the
@@ -683,9 +654,9 @@ main(int argc, char** argv)
         });
     }
 
-    double fused_speedup = oracle.seconds / fused.seconds;
-    double parallel_speedup = fused.seconds / parallel.seconds;
-    double end_to_end = oracle.seconds / parallel.seconds;
+    const double scalar_speedup = oracle.seconds / soa_scalar.seconds;
+    const double pooled_speedup = soa_scalar.seconds / pooled.seconds;
+    const double end_to_end = oracle.seconds / pooled.seconds;
 
     auto phase_row = [](const std::string& name,
                         const SuiteResults& s) {
@@ -698,9 +669,6 @@ main(int argc, char** argv)
               << "simd kernel:         " << kernel_name << " ("
               << choice.reason << ")\n"
               << "per-config oracle:   " << oracle.seconds << " s\n";
-    phase_row("serial fused (aos):  ", fused);
-    std::cout << "parallel fused(aos): " << parallel.seconds << " s ("
-              << pool.numThreads() << " threads)\n";
     phase_row("soa scalar:          ", soa_scalar);
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
         std::string name =
@@ -708,19 +676,19 @@ main(int argc, char** argv)
         name.resize(21, ' ');
         phase_row(name, soa_vec[v]);
     }
-    std::cout << "fused speedup:       " << fused_speedup << "x\n"
-              << "parallel speedup:    " << parallel_speedup << "x\n"
+    std::cout << "soa pooled:          " << pooled.seconds << " s ("
+              << pool.numThreads() << " threads, " << kernel_name
+              << ")\n"
+              << "scalar vs oracle:    " << scalar_speedup << "x\n"
+              << "pooled vs scalar:    " << pooled_speedup << "x\n"
               << "end-to-end speedup:  " << end_to_end << "x\n"
-              << "resolve phase:       direct " << resolve_direct_s
-              << " s vs transpose " << resolve_transpose_s << " s ("
-              << resolve_speedup << "x)\n"
-              << "fig04 grid (25 cfg): aos " << grid_aos_s
-              << " s, soa scalar " << grid_scalar_s << " s ("
-              << grid_scalar_speedup << "x)";
+              << "resolve phase:       " << resolve_s << " s\n"
+              << "fig04 grid (25 cfg): soa scalar " << grid_scalar_s
+              << " s";
     for (std::size_t v = 0; v < vec_kinds.size(); ++v)
         std::cout << ", soa " << sim::kernelName(vec_kinds[v]) << " "
                   << grid_vec_s[v] << " s ("
-                  << grid_aos_s / grid_vec_s[v] << "x)";
+                  << grid_scalar_s / grid_vec_s[v] << "x)";
     std::cout << "\nper-family columns (s):\n";
     for (std::size_t v = 0; v < all_kinds.size(); ++v) {
         std::string name = sim::kernelName(all_kinds[v]);
@@ -745,14 +713,6 @@ main(int argc, char** argv)
          << "  \"avx512_available\": "
          << (sim::avx512Available() ? "true" : "false") << ",\n"
          << "  \"oracle_seconds\": " << oracle.seconds << ",\n"
-         << "  \"serial_fused_seconds\": " << fused.seconds << ",\n"
-         << "  \"serial_fused_resolve_seconds\": "
-         << fused.resolve_seconds << ",\n"
-         << "  \"serial_fused_replay_seconds\": "
-         << fused.replay_seconds << ",\n"
-         << "  \"parallel_fused_seconds\": " << parallel.seconds
-         << ",\n"
-         << "  \"parallel_threads\": " << pool.numThreads() << ",\n"
          << "  \"soa_scalar_seconds\": " << soa_scalar.seconds << ",\n"
          << "  \"soa_scalar_resolve_seconds\": "
          << soa_scalar.resolve_seconds << ",\n"
@@ -767,28 +727,21 @@ main(int argc, char** argv)
              << "  \"soa_" << kn << "_replay_seconds\": "
              << soa_vec[v].replay_seconds << ",\n";
     }
-    json << "  \"fused_vs_per_config\": " << fused_speedup << ",\n"
-         << "  \"parallel_vs_serial_fused\": " << parallel_speedup
-         << ",\n"
+    json << "  \"pooled_seconds\": " << pooled.seconds << ",\n"
+         << "  \"pooled_threads\": " << pool.numThreads() << ",\n"
+         << "  \"soa_scalar_vs_oracle\": " << scalar_speedup << ",\n"
+         << "  \"pooled_vs_soa_scalar\": " << pooled_speedup << ",\n"
          << "  \"end_to_end_speedup\": " << end_to_end << ",\n"
-         << "  \"resolve_direct_seconds\": " << resolve_direct_s
-         << ",\n"
-         << "  \"resolve_transpose_seconds\": " << resolve_transpose_s
-         << ",\n"
-         << "  \"resolve_direct_speedup\": " << resolve_speedup
-         << ",\n"
+         << "  \"resolve_seconds\": " << resolve_s << ",\n"
          << "  \"icache_grid_configs\": " << grid.size() << ",\n"
-         << "  \"icache_grid_aos_seconds\": " << grid_aos_s << ",\n"
          << "  \"icache_grid_soa_scalar_seconds\": " << grid_scalar_s
-         << ",\n"
-         << "  \"icache_grid_scalar_speedup\": " << grid_scalar_speedup
          << ",\n";
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
         const char* kn = sim::kernelName(vec_kinds[v]);
         json << "  \"icache_grid_soa_" << kn << "_seconds\": "
              << grid_vec_s[v] << ",\n"
              << "  \"icache_grid_" << kn << "_speedup\": "
-             << grid_aos_s / grid_vec_s[v] << ",\n";
+             << grid_scalar_s / grid_vec_s[v] << ",\n";
     }
     for (std::size_t v = 0; v < all_kinds.size(); ++v) {
         const char* kn = sim::kernelName(all_kinds[v]);

@@ -280,7 +280,16 @@ class Parser
                 return fail("malformed number");
         }
         std::string tok(text_.substr(start, pos_ - start));
-        out = JsonValue::makeNumber(std::strtod(tok.c_str(), nullptr));
+        const double v = std::strtod(tok.c_str(), nullptr);
+        // A literal beyond the double range would parse to +-inf, which
+        // the writer can only emit as null: the document would not
+        // survive a round trip. (Underflow to zero or a denormal is a
+        // faithful, round-trippable value and stays accepted.)
+        if (std::isinf(v)) {
+            pos_ = start;
+            return fail("number out of range");
+        }
+        out = JsonValue::makeNumber(v);
         return true;
     }
 

@@ -83,8 +83,10 @@ class JsonValue
 
 /**
  * Parse a complete JSON document. Returns false on malformed input
- * (trailing junk included) and, when `err` is non-null, stores a
- * human-readable complaint with the byte offset.
+ * (trailing junk included, and numbers whose magnitude overflows a
+ * double) and, when `err` is non-null, stores a human-readable
+ * complaint with the byte offset. Every accepted document round-trips:
+ * parseJson(v.dump()) yields a value equal to v.
  */
 bool parseJson(std::string_view text, JsonValue& out,
                std::string* err = nullptr);

@@ -12,13 +12,14 @@
 
 /**
  * @file
- * Unified parallel replay engine: replays one CPU-partitioned
- * ResolvedTrace (Replayer::resolve) against many cache configurations
- * in a single fused walk, sharded across a thread pool by CPU.
+ * The production replay path: replays one CPU-partitioned
+ * ResolvedTraceSoA (Replayer::resolveSoA) against many cache
+ * configurations in a single fused walk per simulator family, sharded
+ * across a thread pool by CPU. Every family has exactly one oracle —
+ * the scalar per-config Replayer walk — and this one production path;
+ * tests/replay_parallel_test.cc bit-compares the two.
  *
- * Two structural facts make every result bit-identical to the scalar
- * per-config Replayer walks (which remain as differential oracles, see
- * tests/replay_parallel_test.cc):
+ * Two structural facts make every result bit-identical to the oracle:
  *
  *  - Fusion: simulators for different configurations share no state,
  *    so one walk over the refs can feed all cache sizes of a Figure 12
@@ -39,7 +40,13 @@
  * line-migration counting depends on the *global* order of data events
  * across CPUs. It is also independent of all cache state, so it runs
  * as its own sharded pass per configuration over
- * ResolvedTrace::data_refs, which preserves that global order.
+ * ResolvedTraceSoA::data_refs, which preserves that global order.
+ *
+ * Every family but the sequence analysis routes through the throughput
+ * kernels of sim/kernels.hh. The i-cache, three-C, iTLB and
+ * stream-buffer families accept a SimdMode (the iTLB kernel is
+ * FA-LRU-bound and runs the same scalar walk under every mode); the
+ * instrumented and hierarchy kernels are scalar-only.
  */
 
 namespace spikesim::sim {
@@ -47,32 +54,36 @@ namespace spikesim::sim {
 /** Line-granular i-cache replay with interference attribution, one
  *  result per config (Figures 12/13 columns). */
 std::vector<ICacheReplayResult>
-replayICache(const ResolvedTrace& trace,
+replayICache(const ResolvedTraceSoA& soa,
              std::span<const mem::CacheConfig> configs,
+             SimdMode mode = SimdMode::Auto,
              support::ThreadPool* pool = nullptr);
 
 /** Three-C miss classification per config. */
 std::vector<mem::ThreeCStats>
-replayThreeCs(const ResolvedTrace& trace,
+replayThreeCs(const ResolvedTraceSoA& soa,
               std::span<const mem::CacheConfig> configs,
+              SimdMode mode = SimdMode::Auto,
               support::ThreadPool* pool = nullptr);
 
 /** Stream-buffered i-cache replay per config. */
 std::vector<mem::StreamBufferStats>
-replayStreamBuffer(const ResolvedTrace& trace,
+replayStreamBuffer(const ResolvedTraceSoA& soa,
                    std::span<const mem::CacheConfig> configs,
-                   int num_buffers, support::ThreadPool* pool = nullptr);
+                   int num_buffers, SimdMode mode = SimdMode::Auto,
+                   support::ThreadPool* pool = nullptr);
 
 /** Word-granular instrumented replay per config (Figures 9-11). */
 std::vector<WordStats>
-replayInstrumented(const ResolvedTrace& trace,
+replayInstrumented(const ResolvedTraceSoA& soa,
                    std::span<const mem::CacheConfig> configs,
                    bool flush_at_end = false,
                    support::ThreadPool* pool = nullptr);
 
 /** Standalone iTLB replay per spec (Figure 14's TLB rows). */
 std::vector<ITlbReplayResult>
-replayITlb(const ResolvedTrace& trace, std::span<const ITlbSpec> specs,
+replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
+           SimdMode mode = SimdMode::Auto,
            support::ThreadPool* pool = nullptr);
 
 /**
@@ -84,7 +95,7 @@ replayITlb(const ResolvedTrace& trace, std::span<const ITlbSpec> specs,
  * global-order data_refs (see the file comment).
  */
 std::vector<HierarchyReplayResult>
-replayHierarchy(const ResolvedTrace& trace,
+replayHierarchy(const ResolvedTraceSoA& soa,
                 std::span<const mem::HierarchyConfig> configs,
                 bool model_coherence = false,
                 support::ThreadPool* pool = nullptr);
@@ -96,57 +107,6 @@ replayHierarchy(const ResolvedTrace& trace,
  * block-size mean. Bit-identical to metrics::sequenceLengths on the
  * raw trace for the matching single-image filter.
  */
-metrics::SequenceStats
-replaySequence(const ResolvedTrace& trace,
-               support::ThreadPool* pool = nullptr);
-
-/**
- * SoA overloads: the same seven replays over a column-major
- * ResolvedTraceSoA (sim/soa.hh). Results are bit-identical to the AoS
- * overloads — the per-CPU record sequences are the same values in the
- * same order, only the storage layout differs. Every family but the
- * sequence analysis routes through the throughput kernels of
- * sim/kernels.hh. The i-cache, three-C, iTLB and stream-buffer
- * families accept a SimdMode (the iTLB kernel is FA-LRU-bound and runs
- * the same scalar walk under every mode); the instrumented and
- * hierarchy kernels are scalar-only.
- */
-
-std::vector<ICacheReplayResult>
-replayICache(const ResolvedTraceSoA& soa,
-             std::span<const mem::CacheConfig> configs,
-             SimdMode mode = SimdMode::Auto,
-             support::ThreadPool* pool = nullptr);
-
-std::vector<mem::ThreeCStats>
-replayThreeCs(const ResolvedTraceSoA& soa,
-              std::span<const mem::CacheConfig> configs,
-              SimdMode mode = SimdMode::Auto,
-              support::ThreadPool* pool = nullptr);
-
-std::vector<mem::StreamBufferStats>
-replayStreamBuffer(const ResolvedTraceSoA& soa,
-                   std::span<const mem::CacheConfig> configs,
-                   int num_buffers, SimdMode mode = SimdMode::Auto,
-                   support::ThreadPool* pool = nullptr);
-
-std::vector<WordStats>
-replayInstrumented(const ResolvedTraceSoA& soa,
-                   std::span<const mem::CacheConfig> configs,
-                   bool flush_at_end = false,
-                   support::ThreadPool* pool = nullptr);
-
-std::vector<ITlbReplayResult>
-replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
-           SimdMode mode = SimdMode::Auto,
-           support::ThreadPool* pool = nullptr);
-
-std::vector<HierarchyReplayResult>
-replayHierarchy(const ResolvedTraceSoA& soa,
-                std::span<const mem::HierarchyConfig> configs,
-                bool model_coherence = false,
-                support::ThreadPool* pool = nullptr);
-
 metrics::SequenceStats
 replaySequence(const ResolvedTraceSoA& soa,
                support::ThreadPool* pool = nullptr);

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "sim/soa.hh"
-#include "sim/sweep.hh"
 #include "support/panic.hh"
 
 namespace spikesim::sim {
@@ -152,72 +151,6 @@ SweepResult::misses(std::uint32_t size_bytes, std::uint32_t line_bytes,
                          ait->second)];
 }
 
-ResolvedTrace
-Replayer::resolve(StreamFilter filter, bool include_data) const
-{
-    ResolvedTrace out;
-    out.num_cpus = num_cpus_;
-    const std::size_t n_cpus = static_cast<std::size_t>(num_cpus_);
-
-    // Pass 1: per-CPU ref counts, so the partitioned vector is filled
-    // in place (exact-size allocation, no grow-and-regroup step).
-    std::vector<std::size_t> count(n_cpus, 0);
-    for (const TraceEvent& e : trace_.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data)
-                ++count[e.cpu];
-            continue;
-        }
-        if (!wantImage(filter, e.image))
-            continue;
-        const core::Layout& layout = layoutFor(e.image, app_, kernel_);
-        ++out.instr_events;
-        std::uint32_t size = layout.blockSize(e.block);
-        out.instrs += size;
-        if (size != 0)
-            ++count[e.cpu];
-    }
-
-    out.cpu_begin.assign(n_cpus + 1, 0);
-    for (std::size_t c = 0; c < n_cpus; ++c)
-        out.cpu_begin[c + 1] = out.cpu_begin[c] + count[c];
-    out.refs.resize(out.cpu_begin[n_cpus]);
-
-    // Pass 2: fill each CPU's slice in trace order. A block event of a
-    // filtered-out image marks a pending run break on its CPU (the
-    // fetch unit was taken by the other stream); data events never
-    // break runs.
-    std::vector<std::size_t> cursor(out.cpu_begin.begin(),
-                                    out.cpu_begin.end() - 1);
-    std::vector<std::uint8_t> pending(n_cpus, 0);
-    for (const TraceEvent& e : trace_.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data) {
-                std::uint64_t addr = static_cast<std::uint64_t>(e.block)
-                                     << 2;
-                out.refs[cursor[e.cpu]++] = {addr, 4, e.cpu,
-                                             mem::Owner::Data, 0};
-                out.data_refs.push_back({addr, e.cpu});
-            }
-            continue;
-        }
-        if (!wantImage(filter, e.image)) {
-            pending[e.cpu] = kRefRunBreak;
-            continue;
-        }
-        const core::Layout& layout = layoutFor(e.image, app_, kernel_);
-        std::uint64_t bytes = layout.blockBytes(e.block);
-        if (bytes == 0)
-            continue;
-        out.refs[cursor[e.cpu]++] = {layout.blockAddr(e.block),
-                                     static_cast<std::uint32_t>(bytes),
-                                     e.cpu, ownerOf(e.image),
-                                     pending[e.cpu]};
-        pending[e.cpu] = 0;
-    }
-    return out;
-}
-
 const Replayer::ResolveCounts&
 Replayer::countsFor(StreamFilter filter, bool include_data) const
 {
@@ -298,9 +231,8 @@ Replayer::resolveSoA(StreamFilter filter, bool include_data) const
     out.flags.resize(total);
     out.data_refs.reserve(n_data);
 
-    // Pass 2: write each CPU's column slices in trace order — the same
-    // cursor walk as resolve(), but straight into the four columns
-    // (14 bytes per ref instead of a 24-byte struct plus a transpose),
+    // Pass 2: write each CPU's column slices in trace order (one
+    // cursor per CPU, 14 bytes per ref across the four columns),
     // accumulating instr_events/instrs alongside.
     std::vector<std::size_t> cursor(out.cpu_begin.begin(),
                                     out.cpu_begin.end() - 1);
@@ -338,13 +270,6 @@ Replayer::resolveSoA(StreamFilter filter, bool include_data) const
         pending[e.cpu] = 0;
     }
     return out;
-}
-
-SweepResult
-Replayer::icacheSweep(const SweepSpec& spec, StreamFilter filter) const
-{
-    const SweepJob job{&app_, kernel_, filter, spec, "icacheSweep"};
-    return runSweepJobs(trace_, {job}).front();
 }
 
 WordStats

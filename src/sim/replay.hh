@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -24,6 +23,12 @@
  * fetch-address streams and feeds per-CPU cache simulators. This is the
  * paper's methodology — record the instruction trace once, then replay
  * it against many cache configurations and binaries (layouts).
+ *
+ * Replayer's per-config walks are the scalar oracle of every simulator
+ * family: each family has this one oracle and one production path, the
+ * SoA kernels of sim/engine.hh over a Replayer::resolveSoA trace (the
+ * i-cache family also has the LRU-stack sweep, sim/sweep.hh). Tests
+ * bit-compare every production path against these walks.
  */
 
 namespace spikesim::sim {
@@ -51,28 +56,13 @@ wantImage(StreamFilter filter, trace::ImageId image)
     return false;
 }
 
-/** Flag bits on a ResolvedRef. */
-inline constexpr std::uint8_t kRefRunBreak = 1;
-
 /**
- * One trace event resolved through a layout: the byte range its block
- * occupies, the CPU that fetched it, and which stream owns it.
- * Resolving the trace once and replaying the flat vector is what lets
- * one pass feed many cache configurations. The instruction count of a
- * block ref is bytes / program::kInstrBytes (layouts place blocks at
- * blockSize * kInstrBytes bytes, so the two are locked together).
- * kRefRunBreak marks refs where another image's block event took this
- * CPU's fetch unit since the previous ref — a filtered-out kernel
- * entry breaks a sequential run even when the addresses abut.
+ * Flag bit on a resolved ref (ResolvedTraceSoA::flags): another
+ * image's block event took this CPU's fetch unit since the previous
+ * ref — a filtered-out kernel entry breaks a sequential run even when
+ * the addresses abut.
  */
-struct ResolvedRef
-{
-    std::uint64_t addr = 0;
-    std::uint32_t bytes = 0;
-    std::uint8_t cpu = 0;
-    mem::Owner owner = mem::Owner::App; ///< App/Kernel text, or Data
-    std::uint8_t flags = 0;
-};
+inline constexpr std::uint8_t kRefRunBreak = 1;
 
 /** One data reference, kept in global trace order: the coherence model
  *  (Replayer::hierarchy with model_coherence) depends on the cross-CPU
@@ -83,45 +73,8 @@ struct ResolvedDataRef
     std::uint8_t cpu = 0;
 };
 
-/**
- * A trace pre-resolved through one (app, kernel) layout pair,
- * partitioned by CPU. Every cache simulator's state is per-CPU, so a
- * replay of cpuRefs(c) on its own thread is bit-identical to the
- * interleaved scalar walk — the parallel replay engine (sim/engine.hh)
- * rests on exactly this. When resolved with include_data, each CPU's
- * slice also carries that CPU's data refs (owner == Data) interleaved
- * in trace order, because a CPU's private L2 sees its instruction and
- * data streams in exactly that order; data_refs additionally keeps the
- * global data-event order for the coherence pass.
- */
-struct ResolvedTrace
-{
-    /** Refs grouped by CPU; within one CPU's slice, trace order. */
-    std::vector<ResolvedRef> refs;
-    /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]). */
-    std::vector<std::size_t> cpu_begin;
-    /** Data references in global trace order (include_data only). */
-    std::vector<ResolvedDataRef> data_refs;
-    int num_cpus = 1;
-    /** Filtered block events, including zero-sized blocks. */
-    std::uint64_t instr_events = 0;
-    /** Dynamic instructions: sum of block sizes over filtered events
-     *  (what Replayer::dynamicInstrs walks the raw trace for). */
-    std::uint64_t instrs = 0;
-
-    std::span<const ResolvedRef>
-    cpuRefs(int cpu) const
-    {
-        if (cpu < 0 || cpu + 1 >= static_cast<int>(cpu_begin.size()))
-            return {};
-        const std::size_t b = cpu_begin[static_cast<std::size_t>(cpu)];
-        const std::size_t e =
-            cpu_begin[static_cast<std::size_t>(cpu) + 1];
-        return std::span<const ResolvedRef>(refs).subspan(b, e - b);
-    }
-};
-
-/** Column form of ResolvedTrace; defined in sim/soa.hh. */
+/** The resolved trace Replayer::resolveSoA produces; defined in
+ *  sim/soa.hh. */
 struct ResolvedTraceSoA;
 
 /**
@@ -301,40 +254,19 @@ class Replayer
                               StreamFilter filter) const;
 
     /**
-     * Resolve the filtered trace through the layouts once: every block
-     * event becomes a flat (addr, bytes, cpu, owner) record, grouped
-     * by CPU (see ResolvedTrace). Zero-sized blocks are dropped from
-     * the refs but still counted in instr_events/instrs. Data events
-     * are dropped unless `include_data` is set, in which case they
-     * appear both in the per-CPU slices (owner == Data) and in
-     * data_refs in global order.
-     */
-    ResolvedTrace resolve(StreamFilter filter,
-                          bool include_data = false) const;
-
-    /**
-     * Resolve straight into the column (SoA) form consumed by the
-     * kernel replay paths, skipping the AoS intermediate and its
-     * transpose. Field-for-field identical to toSoA(resolve(...)) —
-     * the fuzz in tests/replay_parallel_test.cc pins that — with every
-     * column and data_refs sized exactly from the first counting pass
-     * (no growth reallocation). resolve() remains the differential
-     * oracle.
+     * Resolve the filtered trace through the layouts once, straight
+     * into the column (SoA) form the production replay paths consume
+     * (sim/engine.hh): every block event becomes an (addr, bytes,
+     * owner, flags) record, grouped by CPU (see ResolvedTraceSoA).
+     * Zero-sized blocks are dropped from the columns but still counted
+     * in instr_events/instrs. Data events are dropped unless
+     * `include_data` is set, in which case they appear both in the
+     * per-CPU slices (owner == Data) and in data_refs in global order.
+     * Every column and data_refs is sized exactly from the first
+     * counting pass (no growth reallocation).
      */
     ResolvedTraceSoA resolveSoA(StreamFilter filter,
                                 bool include_data = false) const;
-
-    /**
-     * Single-pass cache sweep: runSweepJobs (sim/sweep.hh) on this
-     * replayer's layouts, serially. One walk of the filtered block
-     * stream prices every configuration of the spec. Miss counts are
-     * bit-identical to running icache() once per configuration, at a
-     * fraction of the cost; only the owner/interference attribution
-     * is unavailable (use the per-config path for Figure 13 style
-     * studies).
-     */
-    SweepResult icacheSweep(const SweepSpec& spec,
-                            StreamFilter filter) const;
 
     /** Word-granular instrumented replay (histograms merged over
      *  CPUs). */

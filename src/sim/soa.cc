@@ -22,28 +22,4 @@ adviseHugePages([[maybe_unused]] void* p,
 
 } // namespace detail
 
-ResolvedTraceSoA
-toSoA(const ResolvedTrace& trace)
-{
-    ResolvedTraceSoA out;
-    const std::size_t n = trace.refs.size();
-    out.addr.resize(n);
-    out.bytes.resize(n);
-    out.owner.resize(n);
-    out.flags.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const ResolvedRef& r = trace.refs[i];
-        out.addr[i] = r.addr;
-        out.bytes[i] = r.bytes;
-        out.owner[i] = static_cast<std::uint8_t>(r.owner);
-        out.flags[i] = r.flags;
-    }
-    out.cpu_begin = trace.cpu_begin;
-    out.data_refs = trace.data_refs;
-    out.num_cpus = trace.num_cpus;
-    out.instr_events = trace.instr_events;
-    out.instrs = trace.instrs;
-    return out;
-}
-
 } // namespace spikesim::sim

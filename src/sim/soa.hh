@@ -9,21 +9,19 @@
 
 /**
  * @file
- * Structure-of-arrays resolved trace: the same CPU-partitioned record
- * stream as sim::ResolvedTrace, but with addr/bytes/owner/flags stored
- * as separate contiguous columns. The replay hot loops consume one or
- * two of the four fields per family (the i-cache kernels read addr and
- * bytes and only branch on owner), so streaming a packed 8-byte addr
- * column instead of striding 24-byte ResolvedRef structs keeps the
- * loads dense, lets the hardware prefetcher see plain unit-stride
- * streams, and gives the SIMD kernels (sim/kernels.hh) contiguous
- * lanes to load from.
- *
- * The conversion is a by-construction bijection on the fields: every
- * SoA replay result is bit-identical to the AoS walk because the
- * per-CPU record sequences are byte-for-byte the same values in the
- * same order. tests/replay_parallel_test.cc fuzzes exactly that claim
- * against the scalar Replayer oracles for all seven families.
+ * Structure-of-arrays resolved trace: the trace resolved through one
+ * (app, kernel) layout pair (Replayer::resolveSoA), partitioned by CPU,
+ * with addr/bytes/owner/flags stored as separate contiguous columns.
+ * The replay hot loops consume one or two of the four fields per
+ * family (the i-cache kernels read addr and bytes and only branch on
+ * owner), so streaming a packed 8-byte addr column keeps the loads
+ * dense, lets the hardware prefetcher see plain unit-stride streams,
+ * and gives the SIMD kernels (sim/kernels.hh) contiguous lanes to load
+ * from. It is the only resolved form: the SoA kernels are the one
+ * production replay path and the scalar Replayer walks the one oracle
+ * (tests/replay_parallel_test.cc bit-compares the two for all seven
+ * families; tests/soa_simd_test.cc checks resolveSoA column by column
+ * against a walk of the raw trace).
  */
 
 namespace spikesim::sim {
@@ -100,9 +98,20 @@ template <class T>
 using Column = std::vector<T, ColumnAlloc<T>>;
 
 /**
- * Column view of a ResolvedTrace. Owns its columns (the source trace
- * may be dropped after conversion); data_refs is copied verbatim for
- * the hierarchy coherence pass, which needs the global event order.
+ * A trace pre-resolved through one (app, kernel) layout pair,
+ * partitioned by CPU. Each record is one reference: the byte range
+ * it touches (addr, bytes), which stream owns it, and its
+ * kRefRunBreak flag. The instruction count of a block ref is bytes /
+ * program::kInstrBytes (layouts place blocks at blockSize *
+ * kInstrBytes bytes, so the two are locked together). Every cache
+ * simulator's state is per-CPU, so replaying cpuRange(c) on its own
+ * thread is bit-identical to the interleaved scalar walk — the
+ * parallel replay engine (sim/engine.hh) rests on exactly this. When
+ * resolved with include_data, each CPU's slice also carries that CPU's
+ * data refs (owner == Data, 4 bytes) interleaved in trace order,
+ * because a CPU's private L2 sees its instruction and data streams in
+ * exactly that order; data_refs additionally keeps the global
+ * data-event order for the coherence pass.
  */
 struct ResolvedTraceSoA
 {
@@ -115,7 +124,10 @@ struct ResolvedTraceSoA
     /** Data references in global trace order (include_data only). */
     std::vector<ResolvedDataRef> data_refs;
     int num_cpus = 1;
+    /** Filtered block events, including zero-sized blocks. */
     std::uint64_t instr_events = 0;
+    /** Dynamic instructions: sum of block sizes over filtered events
+     *  (what Replayer::dynamicInstrs walks the raw trace for). */
     std::uint64_t instrs = 0;
 
     std::size_t size() const { return addr.size(); }
@@ -168,9 +180,6 @@ struct BlockStream
                 cpu_begin[static_cast<std::size_t>(cpu) + 1]};
     }
 };
-
-/** Transpose a resolved trace into columns (one linear pass). */
-ResolvedTraceSoA toSoA(const ResolvedTrace& trace);
 
 } // namespace spikesim::sim
 

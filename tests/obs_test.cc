@@ -2,12 +2,17 @@
  * @file
  * Tests for the observability layer: registry counters/gauges/
  * histograms under concurrency, RAII span tracing and the Chrome
- * trace-event schema, the JSON round-trip, and run manifests.
+ * trace-event schema, the JSON round-trip (plus a seeded mutation
+ * fuzz of the parser), and run manifests.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "obs/manifest.hh"
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
+#include "support/rng.hh"
 
 namespace spikesim::obs {
 namespace {
@@ -51,6 +57,29 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(parseJson("{\"a\":1} trailing", v));
     EXPECT_FALSE(parseJson("'single'", v));
     EXPECT_FALSE(parseJson("{\"a\" 1}", v));
+}
+
+TEST(Json, RejectsOutOfRangeNumbers)
+{
+    // A literal that overflows a double would parse to +-inf, which the
+    // writer can only emit as null; it is rejected with its offset.
+    for (const char* text : {R"({"x": 1e999})", R"({"x": -1e999})",
+                             R"({"x": 2e308})"}) {
+        JsonValue v;
+        std::string err;
+        EXPECT_FALSE(parseJson(text, v, &err)) << text;
+        EXPECT_EQ(err, "number out of range at byte 6") << text;
+    }
+    // Underflow and the largest finite double stay accepted and
+    // round-trip.
+    for (const char* text : {"1e-999", "-1e-400", "4.9e-324",
+                             "1.7976931348623157e308"}) {
+        JsonValue v;
+        ASSERT_TRUE(parseJson(text, v)) << text;
+        JsonValue again;
+        ASSERT_TRUE(parseJson(v.dump(), again)) << text;
+        EXPECT_TRUE(again == v) << text;
+    }
 }
 
 TEST(Json, NumberFormatterIsLossless)
@@ -342,9 +371,11 @@ TEST(Tracing, InternNameDeduplicatesAndStaysStable)
 
 // ------------------------------------------------------------ manifest
 
-TEST(Manifest, RendersAllSectionsAsValidJson)
+/** A manifest with every basic section, one valid BENCH artifact and
+ *  one broken one. */
+Manifest
+sampleManifest()
 {
-    counter("test.obs.manifest_counter").add(3);
     Manifest m;
     m.binary = "unit_test";
     m.args = {"--alpha", "7"};
@@ -354,6 +385,13 @@ TEST(Manifest, RendersAllSectionsAsValidJson)
     m.phases.push_back({"phase_one", 1.5, 1.25});
     m.artifacts.push_back({"BENCH_x.json", R"({"bench":"x","n":1})"});
     m.artifacts.push_back({"broken.json", "not json"});
+    return m;
+}
+
+TEST(Manifest, RendersAllSectionsAsValidJson)
+{
+    counter("test.obs.manifest_counter").add(3);
+    const Manifest m = sampleManifest();
 
     JsonValue doc;
     std::string err;
@@ -442,6 +480,109 @@ TEST(Manifest, PhaseClockRecordsWallTime)
     EXPECT_EQ(m.phases[0].name, "timed_phase");
     EXPECT_GE(m.phases[0].wall_s, 0.0);
     EXPECT_GE(m.phases[0].cpu_s, 0.0);
+}
+
+// ----------------------------------------------------------- JSON fuzz
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Apply one random byte-level mutation: flip a bit, truncate,
+ *  duplicate a span, or insert a byte or a JSON-ish token. */
+void
+mutate(std::string& text, support::Pcg32& rng)
+{
+    static const char* const kTokens[] = {
+        "e999", "E+400", "-", "0", "9", ".", "e", "\"", "\\", "\\u",
+        "\\ud800", "{", "}", "[", "]", ",", ":", "null", "true", " ",
+    };
+    const auto at = [&](std::size_t bound) {
+        return static_cast<std::size_t>(
+            rng.nextBounded(static_cast<std::uint32_t>(bound)));
+    };
+    switch (rng.nextBounded(4)) {
+    case 0: // flip
+        if (!text.empty())
+            text[at(text.size())] ^=
+                static_cast<char>(1u << rng.nextBounded(8));
+        break;
+    case 1: // truncate
+        text.resize(at(text.size() + 1));
+        break;
+    case 2: { // duplicate a span somewhere else
+        if (text.empty())
+            break;
+        const std::size_t from = at(text.size());
+        const std::size_t len = 1 + at(std::min<std::size_t>(
+                                        16, text.size() - from));
+        const std::string span = text.substr(from, len);
+        text.insert(at(text.size() + 1), span);
+        break;
+    }
+    default: { // insert
+        const std::size_t pos = at(text.size() + 1);
+        if (rng.nextBool(0.5))
+            text.insert(pos, 1, static_cast<char>(rng.nextBounded(256)));
+        else
+            text.insert(pos, kTokens[at(std::size(kTokens))]);
+        break;
+    }
+    }
+}
+
+/**
+ * Seeded mutation fuzz of the JSON parser over the documents the tests
+ * already build (the sample manifest, its BENCH artifact, the
+ * round-trip document) and the bench_compare fixtures. The parser must
+ * always return; an accepted document must survive the writer and
+ * re-parse to an equal value; a rejected one must say where.
+ */
+TEST(JsonFuzz, MutatedDocumentsRoundTripOrFailCleanly)
+{
+    const std::vector<std::string> seeds = {
+        renderManifest(sampleManifest()),
+        R"({"bench":"x","n":1})",
+        R"({"a":[1,2.5,-3],"b":{"s":"hi\n\"x\"","t":true,"n":null},)"
+        R"("big":9007199254740992})",
+        readFile(SPIKESIM_TEST_DATA_DIR "/bench_compare_baseline.json"),
+        readFile(SPIKESIM_TEST_DATA_DIR "/bench_compare_regressed.json"),
+    };
+    support::Pcg32 rng(20261017);
+    std::size_t accepted = 0;
+    for (int iter = 0; iter < 6000; ++iter) {
+        std::string text = seeds[iter % seeds.size()];
+        const int edits = 1 + static_cast<int>(rng.nextBounded(4));
+        for (int e = 0; e < edits; ++e)
+            mutate(text, rng);
+
+        JsonValue v;
+        std::string err;
+        if (!parseJson(text, v, &err)) {
+            EXPECT_NE(err.find(" at byte "), std::string::npos)
+                << "iteration " << iter << ": " << err;
+            continue;
+        }
+        ++accepted;
+        const std::string dumped = v.dump();
+        JsonValue again;
+        std::string again_err;
+        ASSERT_TRUE(parseJson(dumped, again, &again_err))
+            << "iteration " << iter << ": " << again_err << "\n"
+            << text;
+        ASSERT_TRUE(again == v)
+            << "iteration " << iter << " does not round-trip:\n"
+            << text << "\n-> " << dumped;
+    }
+    // The mutations must leave a useful share of documents valid, or
+    // the round-trip half of the property goes untested.
+    EXPECT_GT(accepted, 300u);
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 #include "opt/hierarchy.hh"
 #include "opt/perturb.hh"
 #include "profile/profile.hh"
-#include "sim/engine.hh"
+#include "sim/replay.hh"
 #include "synth/synthprog.hh"
 #include "synth/walker.hh"
 #include "trace/trace.hh"
@@ -202,9 +202,7 @@ TEST(ITlbCostDifferential, RanksPackedAbovePageStraddledLayouts)
     const sim::ITlbSpec spec{2, 4096, 128};
     auto misses = [&](const core::Layout& layout) {
         const sim::Replayer rep(w.buf, layout, nullptr);
-        const sim::ResolvedTrace rt =
-            rep.resolve(sim::StreamFilter::AppOnly);
-        return sim::replayITlb(rt, {&spec, 1}, nullptr)[0].misses;
+        return rep.itlb(spec, sim::StreamFilter::AppOnly).misses;
     };
     const std::uint64_t misses_tight = misses(tight);
     const std::uint64_t misses_loose = misses(loose);

@@ -1,25 +1,19 @@
 /**
  * @file
- * Randomized differential tests for the unified parallel replay engine
+ * Randomized differential tests for the production replay path
  * (sim/engine.hh): on random programs and multi-CPU traces with app +
- * kernel images and data noise, every engine family — fused i-cache
+ * kernel images and data noise, every simulator family — fused i-cache
  * with interference, three-C, stream buffers, instrumented word stats,
- * iTLB, full hierarchy with coherence, and sequence analysis — must be
- * bit-identical to the scalar per-config Replayer/metrics oracles,
- * both serial-fused (no pool) and sharded across a thread pool,
- * including a pool wider than the trace's CPU count (which engages the
- * per-(cpu, config-chunk) sharding path).
- *
- * Every family is additionally replayed through the structure-of-arrays
- * overloads (sim/soa.hh) over a *directly resolved* SoA trace
- * (Replayer::resolveSoA — no transpose), and the i-cache, three-C, and
- * stream-buffer families through every SoA kernel runnable here —
- * forced scalar, forced AVX2, and forced AVX-512 (sim/kernels.hh) —
- * against the same oracles. The SIMD kernels have no tolerance: miss
- * counts, classification counts, and interference matrices must match
- * the scalar Replayer bit for bit. Direct resolve itself is
- * bit-compared against transpose-of-AoS across every filter,
- * include_data setting, and CPU count.
+ * iTLB, full hierarchy with coherence, and sequence analysis — is
+ * replayed over a Replayer::resolveSoA trace and must be bit-identical
+ * to its one oracle, the scalar per-config Replayer/metrics walk. Each
+ * family runs serial-fused (no pool), on a 2-thread pool, and on an
+ * 8-thread pool wider than most traces' CPU count (which engages the
+ * per-(cpu, config-chunk) sharding path), under every SoA kernel
+ * runnable here — forced scalar, forced AVX2, and forced AVX-512
+ * (sim/kernels.hh) — for the families that take a SimdMode. The SIMD
+ * kernels have no tolerance: miss counts, classification counts, and
+ * interference matrices must match the scalar Replayer bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -197,7 +191,6 @@ TEST(ReplayEngine, MatchesICacheOracleRandomized)
         Workload w(cpus, 100 + static_cast<std::uint32_t>(cpus));
         ASSERT_EQ(w.rep.numCpus(), cpus);
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             std::vector<ICacheReplayResult> oracle;
             for (const auto& c : configs)
@@ -226,7 +219,6 @@ TEST(ReplayEngine, MatchesICacheOracleRandomized)
                     }
                 };
             for (support::ThreadPool* pool : pools.all) {
-                expect_oracle(replayICache(trace, configs, pool), "aos");
                 for (SimdMode mode : modes)
                     expect_oracle(
                         replayICache(soa, configs, mode, pool),
@@ -244,7 +236,6 @@ TEST(ReplayEngine, MatchesThreeCsAndStreamBufferOracles)
     for (int cpus : {1, 3, 8}) {
         Workload w(cpus, 200 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             std::vector<mem::ThreeCStats> t_oracle;
             std::vector<mem::StreamBufferStats> s_oracle;
@@ -286,10 +277,6 @@ TEST(ReplayEngine, MatchesThreeCsAndStreamBufferOracles)
                     }
                 };
             for (support::ThreadPool* pool : pools.all) {
-                expect_threec(replayThreeCs(trace, configs, pool),
-                              "aos");
-                expect_sbuf(replayStreamBuffer(trace, configs, 4, pool),
-                            "aos");
                 for (SimdMode mode : modes) {
                     expect_threec(
                         replayThreeCs(soa, configs, mode, pool),
@@ -310,17 +297,17 @@ TEST(ReplayEngine, MatchesInstrumentedOracleIncludingFlush)
     for (int cpus : {2, 5}) {
         Workload w(cpus, 300 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             for (bool flush : {false, true}) {
+                std::vector<WordStats> oracle;
+                for (const auto& c : configs)
+                    oracle.push_back(w.rep.instrumented(c, filter, flush));
                 for (support::ThreadPool* pool : pools.all) {
                     auto col =
-                        replayInstrumented(trace, configs, flush, pool);
-                    auto col_soa =
                         replayInstrumented(soa, configs, flush, pool);
+                    ASSERT_EQ(col.size(), oracle.size());
                     for (std::size_t i = 0; i < configs.size(); ++i) {
-                        auto r = w.rep.instrumented(configs[i], filter,
-                                                    flush);
+                        const WordStats& r = oracle[i];
                         expectHistEq(col[i].words_used, r.words_used,
                                      "words_used");
                         expectHistEq(col[i].word_reuse, r.word_reuse,
@@ -332,15 +319,6 @@ TEST(ReplayEngine, MatchesInstrumentedOracleIncludingFlush)
                         EXPECT_EQ(col[i].unused_word_fraction,
                                   r.unused_word_fraction);
                         EXPECT_EQ(col[i].misses, r.misses);
-                        expectHistEq(col_soa[i].words_used,
-                                     r.words_used, "soa words_used");
-                        expectHistEq(col_soa[i].word_reuse,
-                                     r.word_reuse, "soa word_reuse");
-                        expectHistEq(col_soa[i].lifetimes, r.lifetimes,
-                                     "soa lifetimes");
-                        EXPECT_EQ(col_soa[i].unused_word_fraction,
-                                  r.unused_word_fraction);
-                        EXPECT_EQ(col_soa[i].misses, r.misses);
                     }
                 }
             }
@@ -357,26 +335,24 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
     for (int cpus : {1, 4}) {
         Workload w(cpus, 400 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            ResolvedTrace trace = w.rep.resolve(filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
-            EXPECT_EQ(trace.instrs, w.rep.dynamicInstrs(filter));
-            EXPECT_EQ(soa.instrs, trace.instrs);
+            EXPECT_EQ(soa.instrs, w.rep.dynamicInstrs(filter));
+            std::vector<ITlbReplayResult> oracle;
+            for (const auto& spec : specs)
+                oracle.push_back(w.rep.itlb(spec, filter));
             for (support::ThreadPool* pool : pools.all) {
-                auto col = replayITlb(trace, specs, pool);
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    auto r = w.rep.itlb(specs[i], filter);
-                    EXPECT_EQ(col[i].accesses, r.accesses);
-                    EXPECT_EQ(col[i].misses, r.misses);
-                }
                 // The iTLB kernel is the same scalar walk under every
                 // mode; replaying under each pins that equivalence.
                 for (SimdMode mode : modes) {
-                    auto col_soa = replayITlb(soa, specs, mode, pool);
+                    auto col = replayITlb(soa, specs, mode, pool);
+                    ASSERT_EQ(col.size(), oracle.size());
                     for (std::size_t i = 0; i < specs.size(); ++i) {
-                        EXPECT_EQ(col_soa[i].accesses, col[i].accesses)
-                            << modeLabel(mode) << " spec " << i;
-                        EXPECT_EQ(col_soa[i].misses, col[i].misses)
-                            << modeLabel(mode) << " spec " << i;
+                        EXPECT_EQ(col[i].accesses, oracle[i].accesses)
+                            << modeLabel(mode) << " cpus " << cpus
+                            << " spec " << i;
+                        EXPECT_EQ(col[i].misses, oracle[i].misses)
+                            << modeLabel(mode) << " cpus " << cpus
+                            << " spec " << i;
                     }
                 }
             }
@@ -429,19 +405,17 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
     const std::vector<mem::HierarchyConfig> configs = hierarchyColumn();
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 500 + static_cast<std::uint32_t>(cpus));
+        const ResolvedTraceSoA soa =
+            w.rep.resolveSoA(StreamFilter::Combined, true);
         for (bool coherence : {false, true}) {
-            ResolvedTrace trace =
-                w.rep.resolve(StreamFilter::Combined, true);
-            const ResolvedTraceSoA soa =
-                w.rep.resolveSoA(StreamFilter::Combined, true);
+            std::vector<HierarchyReplayResult> oracle;
+            for (const auto& c : configs)
+                oracle.push_back(w.rep.hierarchy(c, true, coherence));
             for (support::ThreadPool* pool : pools.all) {
-                auto col =
-                    replayHierarchy(trace, configs, coherence, pool);
-                auto col_soa =
-                    replayHierarchy(soa, configs, coherence, pool);
+                auto col = replayHierarchy(soa, configs, coherence, pool);
+                ASSERT_EQ(col.size(), oracle.size());
                 for (std::size_t i = 0; i < configs.size(); ++i) {
-                    auto r = w.rep.hierarchy(configs[i], true,
-                                             coherence);
+                    const HierarchyReplayResult& r = oracle[i];
                     const std::string what =
                         "cpus " + std::to_string(cpus) + " cfg " +
                         std::to_string(i) + (coherence ? " +coh" : "");
@@ -454,70 +428,7 @@ TEST(ReplayEngine, MatchesHierarchyOracleWithCoherence)
                                       ("per_cpu " + what).c_str());
                     EXPECT_EQ(col[i].instrs, r.instrs) << what;
                     EXPECT_EQ(col[i].fetch_breaks, r.fetch_breaks) << what;
-                    expectStatsEq(col_soa[i].total, r.total,
-                                  ("soa total " + what).c_str());
-                    ASSERT_EQ(col_soa[i].per_cpu.size(),
-                              r.per_cpu.size());
-                    for (std::size_t c = 0; c < r.per_cpu.size(); ++c)
-                        expectStatsEq(col_soa[i].per_cpu[c],
-                                      r.per_cpu[c],
-                                      ("soa per_cpu " + what).c_str());
-                    EXPECT_EQ(col_soa[i].instrs, r.instrs) << what;
-                    EXPECT_EQ(col_soa[i].fetch_breaks, r.fetch_breaks)
-                        << what;
                 }
-            }
-        }
-    }
-}
-
-/**
- * The direct SoA resolve (Replayer::resolveSoA) must be bit-identical
- * to the retained transpose route (toSoA of Replayer::resolve) —
- * every column element, partition offset, data ref, and total, across
- * all filters, both include_data settings, and 1/2/4/8-CPU traces.
- * This is the differential oracle that lets the engine run on direct
- * resolve alone.
- */
-TEST(ReplayEngine, DirectSoAResolveMatchesTransposeOfAoS)
-{
-    for (int cpus : {1, 2, 4, 8}) {
-        Workload w(cpus, 700 + static_cast<std::uint32_t>(cpus));
-        for (StreamFilter filter : kFilters) {
-            for (bool data : {false, true}) {
-                const ResolvedTraceSoA via_aos =
-                    toSoA(w.rep.resolve(filter, data));
-                const ResolvedTraceSoA direct =
-                    w.rep.resolveSoA(filter, data);
-                const std::string what =
-                    "cpus " + std::to_string(cpus) + " filter " +
-                    std::to_string(static_cast<int>(filter)) +
-                    (data ? " +data" : "");
-                ASSERT_EQ(direct.size(), via_aos.size()) << what;
-                ASSERT_EQ(direct.addr, via_aos.addr) << what;
-                ASSERT_EQ(direct.bytes, via_aos.bytes) << what;
-                ASSERT_EQ(direct.owner, via_aos.owner) << what;
-                ASSERT_EQ(direct.flags, via_aos.flags) << what;
-                ASSERT_EQ(direct.cpu_begin, via_aos.cpu_begin) << what;
-                EXPECT_EQ(direct.num_cpus, via_aos.num_cpus) << what;
-                EXPECT_EQ(direct.instr_events, via_aos.instr_events)
-                    << what;
-                EXPECT_EQ(direct.instrs, via_aos.instrs) << what;
-                ASSERT_EQ(direct.data_refs.size(),
-                          via_aos.data_refs.size())
-                    << what;
-                for (std::size_t i = 0; i < direct.data_refs.size();
-                     ++i) {
-                    EXPECT_EQ(direct.data_refs[i].addr,
-                              via_aos.data_refs[i].addr)
-                        << what << " data ref " << i;
-                    EXPECT_EQ(direct.data_refs[i].cpu,
-                              via_aos.data_refs[i].cpu)
-                        << what << " data ref " << i;
-                }
-                for (int c = -1; c <= cpus; ++c)
-                    EXPECT_EQ(direct.cpuRange(c), via_aos.cpuRange(c))
-                        << what << " cpu " << c;
             }
         }
     }
@@ -543,21 +454,12 @@ TEST(ReplayEngine, MatchesSequenceOracleOnBothImages)
         for (const Case& c : cases) {
             metrics::SequenceStats oracle = metrics::sequenceLengths(
                 w.buf, *c.layout, c.image);
-            ResolvedTrace trace = w.rep.resolve(c.filter);
             const ResolvedTraceSoA soa = w.rep.resolveSoA(c.filter);
             for (support::ThreadPool* pool : pools.all) {
-                metrics::SequenceStats got = replaySequence(trace, pool);
+                metrics::SequenceStats got = replaySequence(soa, pool);
                 expectHistEq(got.lengths, oracle.lengths, "lengths");
                 EXPECT_EQ(got.mean, oracle.mean) << "cpus " << cpus;
                 EXPECT_EQ(got.mean_block_size, oracle.mean_block_size)
-                    << "cpus " << cpus;
-                metrics::SequenceStats got_soa =
-                    replaySequence(soa, pool);
-                expectHistEq(got_soa.lengths, oracle.lengths,
-                             "soa lengths");
-                EXPECT_EQ(got_soa.mean, oracle.mean) << "cpus " << cpus;
-                EXPECT_EQ(got_soa.mean_block_size,
-                          oracle.mean_block_size)
                     << "cpus " << cpus;
             }
         }

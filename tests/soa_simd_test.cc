@@ -3,8 +3,13 @@
  * Unit and differential tests for the SoA resolved trace (sim/soa.hh)
  * and the SIMD kernel dispatch (sim/kernels.hh):
  *
- *  - toSoA is a field-exact transpose: columns, partition offsets,
- *    data refs and totals all match the AoS source.
+ *  - Replayer::resolveSoA matches, column by column, a walk of the
+ *    raw trace written out in the test: every stream filter, with and
+ *    without data refs, 1/2/4/8 CPUs, zero-size blocks, per-CPU and
+ *    global data-ref order, and cpuRange outside the CPU range.
+ *  - Every field of resolveSoA's output keeps its contract on the
+ *    columns alone: partitions, owners per filter, flags, instruction
+ *    bytes against instrs, and per-CPU Data refs against data_refs.
  *  - SPIKESIM_SIMD parsing is strict — unset/empty means Auto, "0",
  *    "1" and "2" force a kernel, and anything else is a fatal user
  *    error (death-tested, since support::fatal exits).
@@ -71,17 +76,33 @@ class SimdEnvGuard
     std::string old_;
 };
 
+/**
+ * A program of `blocks` random-sized blocks (paired into procs). With
+ * `zero_blocks`, every third proc opens with a branch-only block whose
+ * branch targets the next block: the baseline layout makes that
+ * target its fall-through and deletes the branch, leaving a zero-size
+ * block.
+ */
 Program
-randomProgram(const char* name, int blocks, std::uint32_t seed)
+randomProgram(const char* name, int blocks, std::uint32_t seed,
+              bool zero_blocks = false)
 {
     support::Pcg32 rng(seed);
     Program p(name);
     for (int i = 0; i < blocks; i += 2) {
         ProcedureBuilder b("p" + std::to_string(i));
-        auto a = b.addBlock(1 + rng.nextBounded(32),
-                            Terminator::FallThrough);
-        auto r = b.addBlock(1 + rng.nextBounded(32), Terminator::Return);
-        b.addEdge(a, r, EdgeKind::FallThrough);
+        if (zero_blocks && i % 6 == 0) {
+            auto a = b.addBlock(1, Terminator::UncondBranch);
+            auto r =
+                b.addBlock(1 + rng.nextBounded(32), Terminator::Return);
+            b.addEdge(a, r, EdgeKind::UncondTarget);
+        } else {
+            auto a = b.addBlock(1 + rng.nextBounded(32),
+                                Terminator::FallThrough);
+            auto r =
+                b.addBlock(1 + rng.nextBounded(32), Terminator::Return);
+            b.addEdge(a, r, EdgeKind::FallThrough);
+        }
         p.addProcedure(b.build());
     }
     EXPECT_EQ(p.validate(), "");
@@ -125,9 +146,9 @@ struct Workload
     trace::TraceBuffer buf;
     Replayer rep;
 
-    Workload(int num_cpus, std::uint32_t seed)
-        : app(randomProgram("app", 120, seed)),
-          kern(randomProgram("kern", 120, seed + 1)),
+    Workload(int num_cpus, std::uint32_t seed, bool zero_blocks = false)
+        : app(randomProgram("app", 120, seed, zero_blocks)),
+          kern(randomProgram("kern", 120, seed + 1, zero_blocks)),
           app_layout(core::baselineLayout(app, 0)),
           kern_layout(core::baselineLayout(kern, 0x400000)),
           buf(randomTrace(120, 20000, num_cpus, seed + 2)),
@@ -136,48 +157,241 @@ struct Workload
     }
 };
 
+/** One resolved record, as the raw-trace walk below expects it. */
+struct ExpectedRef
+{
+    std::uint64_t addr = 0;
+    std::uint32_t bytes = 0;
+    std::uint8_t owner = 0;
+    std::uint8_t flags = 0;
+};
+
+/** Everything resolveSoA should produce, from a walk of the raw trace. */
+struct ExpectedResolve
+{
+    std::vector<std::vector<ExpectedRef>> per_cpu;
+    std::vector<ResolvedDataRef> data_refs;
+    std::uint64_t instr_events = 0;
+    std::uint64_t instrs = 0;
+    std::uint64_t zero_size_events = 0;
+};
+
+/**
+ * The resolve contract, walked event by event: a wanted block event
+ * counts toward instr_events/instrs and, unless its block is empty
+ * under the layout, appends (addr, bytes, owner, pending run break)
+ * to its CPU's slice; a block event of a filtered-out image sets its
+ * CPU's pending run break; a data event (include_data only) appends a
+ * 4-byte Data ref to its CPU's slice and to the global data_refs, and
+ * never breaks a run.
+ */
+ExpectedResolve
+walkRawTrace(const Workload& w, int num_cpus, StreamFilter filter,
+             bool include_data)
+{
+    ExpectedResolve x;
+    x.per_cpu.resize(static_cast<std::size_t>(num_cpus));
+    std::vector<std::uint8_t> pending(x.per_cpu.size(), 0);
+    for (const trace::TraceEvent& e : w.buf.events()) {
+        auto& slice = x.per_cpu[e.cpu];
+        if (e.image == trace::ImageId::Data) {
+            if (include_data) {
+                const std::uint64_t addr =
+                    static_cast<std::uint64_t>(e.block) * 4;
+                slice.push_back(
+                    {addr, 4,
+                     static_cast<std::uint8_t>(mem::Owner::Data), 0});
+                x.data_refs.push_back({addr, e.cpu});
+            }
+            continue;
+        }
+        if (!wantImage(filter, e.image)) {
+            pending[e.cpu] = kRefRunBreak;
+            continue;
+        }
+        const bool app = e.image == trace::ImageId::App;
+        const core::Layout& layout = app ? w.app_layout : w.kern_layout;
+        const std::uint32_t size = layout.blockSize(e.block);
+        ++x.instr_events;
+        x.instrs += size;
+        if (size == 0) {
+            ++x.zero_size_events;
+            continue;
+        }
+        slice.push_back(
+            {layout.blockAddr(e.block), size * program::kInstrBytes,
+             static_cast<std::uint8_t>(app ? mem::Owner::App
+                                           : mem::Owner::Kernel),
+             pending[e.cpu]});
+        pending[e.cpu] = 0;
+    }
+    return x;
+}
+
+/**
+ * resolveSoA must equal, column by column, the transpose of the
+ * array-of-structs reference walkRawTrace builds (one ExpectedRef per
+ * resolved ref, per CPU): every filter, both include_data settings,
+ * 1/2/4/8 CPUs with zero-size blocks.
+ */
+TEST(ReplayEngine, DirectSoAResolveMatchesTransposeOfAoS)
+{
+    using Range = std::pair<std::size_t, std::size_t>;
+    std::uint64_t zero_size_events = 0;
+    for (int cpus : {1, 2, 4, 8}) {
+        const Workload w(cpus, 7000 + static_cast<std::uint32_t>(cpus),
+                         /*zero_blocks=*/true);
+        for (StreamFilter filter :
+             {StreamFilter::AppOnly, StreamFilter::KernelOnly,
+              StreamFilter::Combined}) {
+            for (bool data : {false, true}) {
+                const ResolvedTraceSoA soa = w.rep.resolveSoA(filter, data);
+                const ExpectedResolve x =
+                    walkRawTrace(w, cpus, filter, data);
+                zero_size_events += x.zero_size_events;
+                const std::string what =
+                    "cpus " + std::to_string(cpus) + " filter " +
+                    std::to_string(static_cast<int>(filter)) +
+                    (data ? " +data" : "");
+
+                EXPECT_EQ(soa.num_cpus, cpus) << what;
+                EXPECT_EQ(soa.instr_events, x.instr_events) << what;
+                EXPECT_EQ(soa.instrs, x.instrs) << what;
+                ASSERT_EQ(soa.cpu_begin.size(),
+                          static_cast<std::size_t>(cpus) + 1)
+                    << what;
+                EXPECT_EQ(soa.cpu_begin.front(), 0u) << what;
+                EXPECT_EQ(soa.cpu_begin.back(), soa.size()) << what;
+                ASSERT_EQ(soa.bytes.size(), soa.size()) << what;
+                ASSERT_EQ(soa.owner.size(), soa.size()) << what;
+                ASSERT_EQ(soa.flags.size(), soa.size()) << what;
+                for (int c = 0; c < cpus; ++c) {
+                    const auto& want =
+                        x.per_cpu[static_cast<std::size_t>(c)];
+                    const auto [b, e] = soa.cpuRange(c);
+                    ASSERT_EQ(e - b, want.size()) << what << " cpu " << c;
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        EXPECT_EQ(soa.addr[b + i], want[i].addr)
+                            << what << " cpu " << c << " ref " << i;
+                        EXPECT_EQ(soa.bytes[b + i], want[i].bytes)
+                            << what << " cpu " << c << " ref " << i;
+                        EXPECT_EQ(soa.owner[b + i], want[i].owner)
+                            << what << " cpu " << c << " ref " << i;
+                        EXPECT_EQ(soa.flags[b + i], want[i].flags)
+                            << what << " cpu " << c << " ref " << i;
+                    }
+                }
+                ASSERT_EQ(soa.data_refs.size(), x.data_refs.size())
+                    << what;
+                EXPECT_EQ(soa.data_refs.empty(), !data) << what;
+                for (std::size_t i = 0; i < x.data_refs.size(); ++i) {
+                    EXPECT_EQ(soa.data_refs[i].addr, x.data_refs[i].addr)
+                        << what << " data ref " << i;
+                    EXPECT_EQ(soa.data_refs[i].cpu, x.data_refs[i].cpu)
+                        << what << " data ref " << i;
+                }
+                EXPECT_EQ(soa.cpuRange(-1), Range{}) << what;
+                EXPECT_EQ(soa.cpuRange(cpus), Range{}) << what;
+                EXPECT_EQ(soa.cpuRange(cpus + 5), Range{}) << what;
+            }
+        }
+    }
+    // The zero-size skip must have been exercised.
+    EXPECT_GT(zero_size_events, 0u);
+}
+
+/**
+ * Every field of resolveSoA's output keeps its contract, checked on
+ * the columns alone (no reference walk to share a mistake with):
+ * parallel columns, monotone partitions that cpuRange reports, owners
+ * the filter admits, flags 0 or kRefRunBreak, non-empty instruction
+ * refs whose bytes sum to instrs * kInstrBytes, 4-byte unflagged Data
+ * refs, and each CPU's Data refs in the columns equal to its share of
+ * the global data_refs, in order.
+ */
 TEST(ResolvedTraceSoA, TransposeIsFieldExact)
 {
-    Workload w(4, 7001);
-    // include_data so the data_refs column and Data owners are present.
-    ResolvedTrace trace = w.rep.resolve(StreamFilter::Combined, true);
-    ResolvedTraceSoA soa = toSoA(trace);
+    constexpr auto kApp = static_cast<std::uint8_t>(mem::Owner::App);
+    constexpr auto kKernel = static_cast<std::uint8_t>(mem::Owner::Kernel);
+    constexpr auto kData = static_cast<std::uint8_t>(mem::Owner::Data);
+    for (int cpus : {1, 2, 4, 8}) {
+        const Workload w(cpus, 7100 + static_cast<std::uint32_t>(cpus),
+                         /*zero_blocks=*/true);
+        for (StreamFilter filter :
+             {StreamFilter::AppOnly, StreamFilter::KernelOnly,
+              StreamFilter::Combined}) {
+            for (bool data : {false, true}) {
+                const ResolvedTraceSoA soa = w.rep.resolveSoA(filter, data);
+                const std::string what =
+                    "cpus " + std::to_string(cpus) + " filter " +
+                    std::to_string(static_cast<int>(filter)) +
+                    (data ? " +data" : "");
 
-    ASSERT_EQ(soa.size(), trace.refs.size());
-    ASSERT_EQ(soa.bytes.size(), trace.refs.size());
-    ASSERT_EQ(soa.owner.size(), trace.refs.size());
-    ASSERT_EQ(soa.flags.size(), trace.refs.size());
-    for (std::size_t i = 0; i < trace.refs.size(); ++i) {
-        EXPECT_EQ(soa.addr[i], trace.refs[i].addr) << i;
-        EXPECT_EQ(soa.bytes[i], trace.refs[i].bytes) << i;
-        EXPECT_EQ(soa.owner[i],
-                  static_cast<std::uint8_t>(trace.refs[i].owner))
-            << i;
-        EXPECT_EQ(soa.flags[i], trace.refs[i].flags) << i;
+                ASSERT_EQ(soa.bytes.size(), soa.size()) << what;
+                ASSERT_EQ(soa.owner.size(), soa.size()) << what;
+                ASSERT_EQ(soa.flags.size(), soa.size()) << what;
+                ASSERT_EQ(soa.cpu_begin.size(),
+                          static_cast<std::size_t>(cpus) + 1)
+                    << what;
+                EXPECT_EQ(soa.cpu_begin.front(), 0u) << what;
+                EXPECT_EQ(soa.cpu_begin.back(), soa.size()) << what;
+
+                std::uint64_t instr_bytes = 0;
+                std::uint64_t instr_refs = 0;
+                std::size_t data_seen = 0;
+                for (int c = 0; c < cpus; ++c) {
+                    const auto uc = static_cast<std::size_t>(c);
+                    ASSERT_LE(soa.cpu_begin[uc], soa.cpu_begin[uc + 1])
+                        << what << " cpu " << c;
+                    const auto [b, e] = soa.cpuRange(c);
+                    EXPECT_EQ(b, soa.cpu_begin[uc]) << what;
+                    EXPECT_EQ(e, soa.cpu_begin[uc + 1]) << what;
+
+                    std::vector<std::uint64_t> want_data;
+                    for (const ResolvedDataRef& d : soa.data_refs)
+                        if (d.cpu == c)
+                            want_data.push_back(d.addr);
+                    std::vector<std::uint64_t> got_data;
+                    for (std::size_t i = b; i < e; ++i) {
+                        const std::uint8_t owner = soa.owner[i];
+                        const std::uint8_t flags = soa.flags[i];
+                        EXPECT_TRUE(flags == 0 || flags == kRefRunBreak)
+                            << what << " ref " << i;
+                        if (owner == kData) {
+                            EXPECT_EQ(soa.bytes[i], 4u)
+                                << what << " ref " << i;
+                            EXPECT_EQ(flags, 0u) << what << " ref " << i;
+                            got_data.push_back(soa.addr[i]);
+                            continue;
+                        }
+                        if (filter == StreamFilter::AppOnly)
+                            EXPECT_EQ(owner, kApp) << what << " ref " << i;
+                        else if (filter == StreamFilter::KernelOnly)
+                            EXPECT_EQ(owner, kKernel)
+                                << what << " ref " << i;
+                        else
+                            EXPECT_TRUE(owner == kApp || owner == kKernel)
+                                << what << " ref " << i;
+                        EXPECT_GT(soa.bytes[i], 0u) << what << " ref " << i;
+                        EXPECT_EQ(soa.bytes[i] % program::kInstrBytes, 0u)
+                            << what << " ref " << i;
+                        instr_bytes += soa.bytes[i];
+                        ++instr_refs;
+                    }
+                    EXPECT_EQ(got_data, want_data) << what << " cpu " << c;
+                    data_seen += got_data.size();
+                }
+                EXPECT_EQ(data_seen, soa.data_refs.size()) << what;
+                EXPECT_EQ(soa.data_refs.empty(), !data) << what;
+                EXPECT_EQ(instr_bytes, soa.instrs * program::kInstrBytes)
+                    << what;
+                EXPECT_LE(instr_refs, soa.instr_events) << what;
+                using Range = std::pair<std::size_t, std::size_t>;
+                EXPECT_EQ(soa.cpuRange(-1), Range{}) << what;
+                EXPECT_EQ(soa.cpuRange(cpus), Range{}) << what;
+            }
+        }
     }
-
-    ASSERT_EQ(soa.cpu_begin, trace.cpu_begin);
-    EXPECT_EQ(soa.num_cpus, trace.num_cpus);
-    EXPECT_EQ(soa.instr_events, trace.instr_events);
-    EXPECT_EQ(soa.instrs, trace.instrs);
-
-    ASSERT_EQ(soa.data_refs.size(), trace.data_refs.size());
-    for (std::size_t i = 0; i < trace.data_refs.size(); ++i) {
-        EXPECT_EQ(soa.data_refs[i].addr, trace.data_refs[i].addr);
-        EXPECT_EQ(soa.data_refs[i].cpu, trace.data_refs[i].cpu);
-    }
-
-    // cpuRange agrees with the AoS span accessor, including the
-    // out-of-range behavior on both sides.
-    for (int c = 0; c < trace.num_cpus; ++c) {
-        auto [b, e] = soa.cpuRange(c);
-        auto span = trace.cpuRefs(c);
-        EXPECT_EQ(e - b, span.size()) << "cpu " << c;
-        EXPECT_EQ(b, trace.cpu_begin[static_cast<std::size_t>(c)]);
-    }
-    EXPECT_EQ(soa.cpuRange(-1), (std::pair<std::size_t, std::size_t>{}));
-    EXPECT_EQ(soa.cpuRange(trace.num_cpus),
-              (std::pair<std::size_t, std::size_t>{}));
 }
 
 TEST(SimdDispatch, EnvParseIsStrict)
@@ -327,8 +541,7 @@ TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
         Workload w(cpus, 7100 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter :
              {StreamFilter::AppOnly, StreamFilter::Combined}) {
-            ResolvedTrace trace = w.rep.resolve(filter);
-            const ResolvedTraceSoA soa = toSoA(trace);
+            const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
             std::vector<ICacheReplayResult> oracle;
             for (const auto& c : configs)
                 oracle.push_back(w.rep.icache(c, filter));

@@ -190,7 +190,10 @@ TEST(Sweep, MatchesPerConfigReplayRandomized)
     for (StreamFilter filter : {StreamFilter::AppOnly,
                                 StreamFilter::KernelOnly,
                                 StreamFilter::Combined}) {
-        SweepResult sweep = rep.icacheSweep(spec, filter);
+        const SweepResult sweep =
+            runSweepJobs(buf, {{&app_layout, &kern_layout, filter, spec,
+                                "sweep"}})
+                .front();
         for (std::uint32_t size : spec.size_bytes) {
             for (std::uint32_t line : spec.line_bytes) {
                 for (std::uint32_t assoc : spec.assocs) {
@@ -287,16 +290,19 @@ TEST(Sweep, PoolWidthsAgree)
         }
     }
 
+    // References: the serial run, itself checked against the
+    // per-config Replayer oracle below.
     const Replayer rep(buf, app_layout, &kern_layout);
+    const std::vector<SweepResult> serial = runSweepJobs(buf, jobs, nullptr);
     std::vector<std::vector<SweepResult>> runs;
-    runs.push_back(runSweepJobs(buf, jobs, nullptr));
     for (int width : {1, 2, 4}) {
         support::ThreadPool pool(width);
         runs.push_back(runSweepJobs(buf, jobs, &pool));
     }
+    ASSERT_EQ(serial.size(), jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const SweepSpec& spec = jobs[j].spec;
-        const SweepResult oracle = rep.icacheSweep(spec, jobs[j].filter);
+        const SweepResult& oracle = serial[j];
         for (std::size_t r = 0; r < runs.size(); ++r) {
             ASSERT_EQ(runs[r].size(), jobs.size());
             for (std::uint32_t size : spec.size_bytes) {
@@ -361,14 +367,15 @@ TEST(Sweep, ParallelJobsMatchSerial)
             }
         }
     }
-    // And both must equal the direct Replayer sweep for that job.
+    // And both must equal the per-config Replayer oracle for that job.
     Replayer rep(buf, app_b, &kern_layout);
-    SweepResult direct = rep.icacheSweep(spec, StreamFilter::Combined);
     for (std::uint32_t size : spec.size_bytes)
         for (std::uint32_t line : spec.line_bytes)
             for (std::uint32_t assoc : spec.assocs)
                 EXPECT_EQ(serial[1].misses(size, line, assoc),
-                          direct.misses(size, line, assoc));
+                          rep.icache({size, line, assoc},
+                                     StreamFilter::Combined)
+                              .misses);
 }
 
 using SweepDeathTest = ::testing::Test;
@@ -381,12 +388,12 @@ TEST(SweepDeathTest, BadGeometryAborts)
     Program app = randomProgram("app", 4, 1);
     core::Layout layout = core::baselineLayout(app, 0);
     trace::TraceBuffer buf = randomTrace(4, 10, 1, 2);
-    Replayer rep(buf, layout);
     SweepSpec bad;
     bad.size_bytes = {1000}; // not a multiple of line*assoc
     bad.line_bytes = {64};
     bad.assocs = {1};
-    EXPECT_DEATH(rep.icacheSweep(bad, StreamFilter::AppOnly),
+    EXPECT_DEATH(runSweepJobs(buf, {{&layout, nullptr,
+                                     StreamFilter::AppOnly, bad, "bad"}}),
                  "bad sweep spec");
 }
 

@@ -342,16 +342,12 @@ checkReplay(BenchChecker& c)
     const obs::JsonValue& doc = c.doc;
     for (const char* key :
          {"trace_events", "trace_cpus", "oracle_seconds",
-          "serial_fused_seconds", "serial_fused_resolve_seconds",
-          "serial_fused_replay_seconds", "parallel_fused_seconds",
-          "parallel_threads", "soa_scalar_seconds",
-          "soa_scalar_resolve_seconds", "soa_scalar_replay_seconds",
-          "fused_vs_per_config", "parallel_vs_serial_fused",
-          "end_to_end_speedup", "resolve_direct_seconds",
-          "resolve_transpose_seconds", "resolve_direct_speedup",
-          "icache_grid_configs", "icache_grid_aos_seconds",
-          "icache_grid_soa_scalar_seconds",
-          "icache_grid_scalar_speedup"})
+          "soa_scalar_seconds", "soa_scalar_resolve_seconds",
+          "soa_scalar_replay_seconds", "pooled_seconds",
+          "pooled_threads", "soa_scalar_vs_oracle",
+          "pooled_vs_soa_scalar", "end_to_end_speedup",
+          "resolve_seconds", "icache_grid_configs",
+          "icache_grid_soa_scalar_seconds"})
         c.number(doc, "top level", key);
     c.string(doc, "top level", "simd_kernel");
     c.string(doc, "top level", "simd_kernel_reason");
