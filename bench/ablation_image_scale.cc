@@ -10,6 +10,7 @@
  */
 
 #include "bench/common.hh"
+#include "support/panic.hh"
 
 using namespace spikesim;
 
@@ -71,8 +72,16 @@ main(int argc, char** argv)
 {
     bench::banner("Image-scale ablation",
                   "layout gains vs binary size (64KB/128B/4-way)");
-    std::uint64_t profile_txns = argc > 1 ? std::atoll(argv[1]) : 500;
-    std::uint64_t trace_txns = argc > 2 ? std::atoll(argv[2]) : 350;
+    const std::string usage =
+        "usage: ablation_image_scale [profile_txns] [trace_txns]";
+    if (argc > 3)
+        support::fatal("too many arguments\n" + usage);
+    const std::uint64_t profile_txns =
+        argc > 1 ? bench::parseTxnCount(argv[1], "profile_txns", usage)
+                 : 500;
+    const std::uint64_t trace_txns =
+        argc > 2 ? bench::parseTxnCount(argv[2], "trace_txns", usage)
+                 : 350;
 
     support::TablePrinter table({"image scale", "text size",
                                  "porder gain", "chain gain",

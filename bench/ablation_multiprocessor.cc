@@ -10,6 +10,7 @@
  */
 
 #include "bench/common.hh"
+#include "support/panic.hh"
 #include "sim/timing.hh"
 
 using namespace spikesim;
@@ -73,8 +74,16 @@ main(int argc, char** argv)
     bench::banner("Multiprocessor ablation",
                   "layout speedup on 1 vs 4 processors (21164-like, "
                   "coherence modeled)");
-    std::uint64_t profile_txns = argc > 1 ? std::atoll(argv[1]) : 600;
-    std::uint64_t trace_txns = argc > 2 ? std::atoll(argv[2]) : 400;
+    const std::string usage =
+        "usage: ablation_multiprocessor [profile_txns] [trace_txns]";
+    if (argc > 3)
+        support::fatal("too many arguments\n" + usage);
+    const std::uint64_t profile_txns =
+        argc > 1 ? bench::parseTxnCount(argv[1], "profile_txns", usage)
+                 : 600;
+    const std::uint64_t trace_txns =
+        argc > 2 ? bench::parseTxnCount(argv[2], "trace_txns", usage)
+                 : 400;
 
     const int threads = bench::threadsFromEnv();
     std::unique_ptr<support::ThreadPool> pool;

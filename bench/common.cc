@@ -17,37 +17,29 @@ namespace spikesim::bench {
 
 namespace {
 
+/** runWorkload's usage line for `argv0`. */
+std::string
+usageLine(const char* argv0)
+{
+    return std::string("usage: ") + argv0 +
+           " [--corpus DIR] [--threads N] [--seed N]"
+           " [--trace-out FILE]"
+           " [--manifest-out FILE] [--timeline-out FILE]"
+           " [--progress SECS]"
+           " [profile_txns] [trace_txns]";
+}
+
 [[noreturn]] void
 usage(const char* argv0, const std::string& complaint)
 {
-    support::fatal(complaint + "\nusage: " + argv0 +
-                   " [--corpus DIR] [--threads N] [--seed N]"
-                   " [--simd 0|1|2] [--trace-out FILE]"
-                   " [--manifest-out FILE] [--timeline-out FILE]"
-                   " [--progress SECS]"
-                   " [profile_txns] [trace_txns]");
+    support::fatal(complaint + "\n" + usageLine(argv0));
 }
 
-/** Strict decimal parse; rejects sign, junk, and overflow. */
+/** parseTxnCount with runWorkload's usage line. */
 std::uint64_t
-parseTxnCount(const char* argv0, const std::string& arg, const char* what)
+parseCount(const char* argv0, const std::string& arg, const char* what)
 {
-    if (arg.empty())
-        usage(argv0, std::string(what) + " is empty");
-    if (arg[0] == '-' || arg[0] == '+')
-        usage(argv0, std::string(what) + " must be a non-negative "
-                                         "integer, got '" + arg + "'");
-    for (char c : arg)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            usage(argv0, std::string(what) + " is not a number: '" +
-                             arg + "'");
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(arg.c_str(), &end, 10);
-    if (errno == ERANGE || end != arg.c_str() + arg.size())
-        usage(argv0, std::string(what) + " is out of range: '" + arg +
-                         "'");
-    return v;
+    return parseTxnCount(arg, what, usageLine(argv0));
 }
 
 bool
@@ -61,7 +53,7 @@ envFlagSet(const char* name)
 int
 parseThreads(const char* argv0, const std::string& arg)
 {
-    const std::uint64_t v = parseTxnCount(argv0, arg, "thread count");
+    const std::uint64_t v = parseCount(argv0, arg, "thread count");
     if (v > 4096)
         usage(argv0, "thread count is out of range: '" + arg + "'");
     return static_cast<int>(v);
@@ -92,20 +84,6 @@ parsePath(const char* argv0, const std::string& arg, const char* flag)
     return arg;
 }
 
-/** Strict `--simd` parse: exactly "0" (scalar), "1" (AVX2), or "2"
- *  (AVX-512). */
-sim::SimdMode
-parseSimd(const char* argv0, const std::string& arg)
-{
-    if (arg == "0")
-        return sim::SimdMode::Scalar;
-    if (arg == "1")
-        return sim::SimdMode::Simd;
-    if (arg == "2")
-        return sim::SimdMode::Avx512;
-    usage(argv0, "--simd must be 0, 1 or 2, got '" + arg + "'");
-}
-
 /** Format a double with fixed precision for manifest info fields. */
 std::string
 fmtRate(double v)
@@ -116,6 +94,41 @@ fmtRate(double v)
 }
 
 } // namespace
+
+std::uint64_t
+parseTxnCount(const std::string& arg, const char* what,
+              const std::string& usage_line)
+{
+    const auto fail = [&](const std::string& complaint) {
+        support::fatal(usage_line.empty() ? complaint
+                                          : complaint + "\n" + usage_line);
+    };
+    if (arg.empty())
+        fail(std::string(what) + " is empty");
+    if (arg[0] == '-' || arg[0] == '+')
+        fail(std::string(what) + " must be a non-negative integer, got '" +
+             arg + "'");
+    for (char c : arg)
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            fail(std::string(what) + " is not a number: '" + arg + "'");
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(arg.c_str(), &end, 10);
+    if (errno == ERANGE || end != arg.c_str() + arg.size())
+        fail(std::string(what) + " is out of range: '" + arg + "'");
+    return v;
+}
+
+sim::SimdMode
+parseSimdFlag(const std::string& arg, const std::string& usage_line)
+{
+    if (arg == "0")
+        return sim::SimdMode::Scalar;
+    if (arg == "1")
+        return sim::SimdMode::Simd;
+    support::fatal("--simd must be 0 or 1, got '" + arg + "'\n" +
+                   usage_line);
+}
 
 ObsOptions
 obsOptionsFromEnv()
@@ -279,37 +292,7 @@ seedFromEnv(std::uint64_t fallback)
     const char* v = std::getenv("SPIKESIM_SEED");
     if (v == nullptr || *v == '\0')
         return fallback;
-    return parseTxnCount("SPIKESIM_SEED", v, "seed");
-}
-
-sim::KernelChoice
-resolveKernelForTrace(sim::SimdMode mode, const sim::System& system,
-                      const trace::TraceBuffer& buf)
-{
-    // When Auto-mode calibration is going to run (no --simd flag, no
-    // SPIKESIM_SIMD, at least one vector kernel runnable), ground it on
-    // a slice of the real resolved trace instead of the synthetic one:
-    // the synthetic trace's fetch-run shape has picked AVX-512 on hosts
-    // where AVX2 measures faster on the actual workload. The baseline
-    // layouts are the cheapest resolvable pair and the slice only has
-    // to be representative of run shape, not of layout quality.
-    if (mode == sim::SimdMode::Auto &&
-        sim::simdModeFromEnv() == sim::SimdMode::Auto &&
-        (sim::simdAvailable() || sim::avx512Available()) &&
-        buf.events().size() > 0) {
-        const core::Layout app = core::baselineLayout(
-            system.appProg(), system.config().app_text_base);
-        const core::Layout kernel = core::baselineLayout(
-            system.kernelProg(), system.config().kernel_text_base);
-        const sim::Replayer rep(buf, app, &kernel);
-        sim::seedCalibrationTrace(
-            rep.resolveSoA(sim::StreamFilter::Combined));
-    }
-    // Resolve eagerly: a forced-but-unavailable --simd 1|2 must fail
-    // here, before any replay silently runs scalar. In Auto mode this
-    // also runs (and caches) the startup calibration, so the choice
-    // and its reason are known before the first replay.
-    return sim::resolveKernel(mode);
+    return parseCount("SPIKESIM_SEED", v, "seed");
 }
 
 Workload
@@ -323,7 +306,6 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
     int threads = -1; // unset: SPIKESIM_THREADS, then hardware
     bool seed_set = false;
     std::uint64_t seed = kDefaultSeed;
-    sim::SimdMode simd = sim::SimdMode::Auto;
     ObsOptions oopts = obsOptionsFromEnv(); // flags below win
 
     std::vector<std::string> positional;
@@ -374,17 +356,11 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
         } else if (arg == "--seed") {
             if (i + 1 >= argc)
                 usage(argv[0], "--seed needs a value argument");
-            seed = parseTxnCount(argv[0], argv[++i], "seed");
+            seed = parseCount(argv[0], argv[++i], "seed");
             seed_set = true;
         } else if (arg.rfind("--seed=", 0) == 0) {
-            seed = parseTxnCount(argv[0], arg.substr(7), "seed");
+            seed = parseCount(argv[0], arg.substr(7), "seed");
             seed_set = true;
-        } else if (arg == "--simd") {
-            if (i + 1 >= argc)
-                usage(argv[0], "--simd needs a 0|1|2 argument");
-            simd = parseSimd(argv[0], argv[++i]);
-        } else if (arg.rfind("--simd=", 0) == 0) {
-            simd = parseSimd(argv[0], arg.substr(7));
         } else if (arg.size() > 1 && arg[0] == '-' &&
                    !std::isdigit(static_cast<unsigned char>(arg[1]))) {
             usage(argv[0], "unknown option '" + arg + "'");
@@ -396,9 +372,9 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
         usage(argv[0], "too many arguments");
     if (positional.size() > 0)
         profile_txns =
-            parseTxnCount(argv[0], positional[0], "profile_txns");
+            parseCount(argv[0], positional[0], "profile_txns");
     if (positional.size() > 1)
-        trace_txns = parseTxnCount(argv[0], positional[1], "trace_txns");
+        trace_txns = parseCount(argv[0], positional[1], "trace_txns");
 
     sim::CorpusParams params;
     params.profile_txns = profile_txns;
@@ -432,9 +408,6 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
     w.db_ready = g.db_ready;
     w.threads = threads >= 0 ? threads : threadsFromEnv();
     w.seed = seed_set ? seed : seedFromEnv();
-    w.simd = simd;
-    const sim::KernelChoice choice =
-        resolveKernelForTrace(w.simd, *w.system, w.buf);
     if (w.threads > 0)
         w.worker_pool =
             std::make_unique<support::ThreadPool>(w.threads);
@@ -446,15 +419,11 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
         m.info.emplace_back("profile_txns",
                             std::to_string(profile_txns));
         m.info.emplace_back("trace_txns", std::to_string(trace_txns));
+        const sim::KernelChoice choice =
+            sim::resolveKernel(sim::SimdMode::Auto);
         m.info.emplace_back("simd_kernel",
                             sim::kernelName(choice.kind));
         m.info.emplace_back("simd_kernel_reason", choice.reason);
-        const sim::CalibrationInfo calib = sim::calibrationInfo();
-        if (calib.ran) {
-            m.info.emplace_back("calibration_source", calib.source);
-            m.info.emplace_back("calibration_sample_refs",
-                                std::to_string(calib.sample_refs));
-        }
         if (!corpus_dir.empty())
             m.info.emplace_back("corpus_dir", corpus_dir);
     }
@@ -481,7 +450,7 @@ BenchReplay::icache(const mem::CacheConfig& config,
     if (!parallel_)
         return rep_.icache(config, filter);
     return sim::replayICache(resolved(filter, false), {&config, 1},
-                             simd_, pool_)[0];
+                             sim::SimdMode::Auto, pool_)[0];
 }
 
 std::vector<sim::ICacheReplayResult>
@@ -495,8 +464,8 @@ BenchReplay::icacheColumn(std::span<const mem::CacheConfig> configs,
             out.push_back(rep_.icache(config, filter));
         return out;
     }
-    return sim::replayICache(resolved(filter, false), configs, simd_,
-                             pool_);
+    return sim::replayICache(resolved(filter, false), configs,
+                             sim::SimdMode::Auto, pool_);
 }
 
 mem::ThreeCStats
@@ -506,7 +475,7 @@ BenchReplay::threeCs(const mem::CacheConfig& config,
     if (!parallel_)
         return rep_.threeCs(config, filter);
     return sim::replayThreeCs(resolved(filter, false), {&config, 1},
-                              simd_, pool_)[0];
+                              sim::SimdMode::Auto, pool_)[0];
 }
 
 std::vector<mem::ThreeCStats>
@@ -520,8 +489,8 @@ BenchReplay::threeCsColumn(std::span<const mem::CacheConfig> configs,
             out.push_back(rep_.threeCs(config, filter));
         return out;
     }
-    return sim::replayThreeCs(resolved(filter, false), configs, simd_,
-                              pool_);
+    return sim::replayThreeCs(resolved(filter, false), configs,
+                              sim::SimdMode::Auto, pool_);
 }
 
 mem::StreamBufferStats
@@ -531,7 +500,8 @@ BenchReplay::streamBuffer(const mem::CacheConfig& config, int num_buffers,
     if (!parallel_)
         return rep_.streamBuffer(config, num_buffers, filter);
     return sim::replayStreamBuffer(resolved(filter, false), {&config, 1},
-                                   num_buffers, simd_, pool_)[0];
+                                   num_buffers, sim::SimdMode::Auto,
+                                   pool_)[0];
 }
 
 sim::WordStats
@@ -561,8 +531,8 @@ BenchReplay::itlbColumn(std::span<const sim::ITlbSpec> specs,
             out.push_back(rep_.itlb(spec, filter));
         return out;
     }
-    return sim::replayITlb(resolved(filter, false), specs, simd_,
-                           pool_);
+    return sim::replayITlb(resolved(filter, false), specs,
+                           sim::SimdMode::Auto, pool_);
 }
 
 sim::HierarchyReplayResult

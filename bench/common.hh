@@ -50,16 +50,12 @@
  * versus `--threads N` is a byte-identical A/B of every table. The
  * default is the hardware concurrency.
  *
- * SIMD kernel selection is shared the same way: `--simd 0|1|2` (or the
- * SPIKESIM_SIMD environment variable, the flag wins) forces the SoA
- * replay kernels scalar, AVX2, or AVX-512; unset means runtime
- * auto-calibration (resolveKernelForTrace below, which times each
- * runnable kernel on a slice of the captured trace and picks the
- * fastest). The engine path of BenchReplay replays through the
- * structure-of-arrays trace either way, and every setting is
- * byte-identical to every other — `--simd` only moves time. The
- * chosen kernel and the reason it was chosen land in the run manifest
- * (simd_kernel, simd_kernel_reason).
+ * The SoA replay kernels are picked from CPUID (sim::resolveKernel:
+ * AVX2 when the host reports it, else scalar), with no flag or
+ * environment override; every kernel is byte-identical to every other,
+ * so the choice only moves time. The chosen kernel and the reason it
+ * was chosen land in the run manifest (simd_kernel,
+ * simd_kernel_reason).
  *
  * When any observability switch is active, ObsRun also opens hardware
  * perf counters (obs/perf.hh) over the whole run and folds cycles,
@@ -180,9 +176,6 @@ struct Workload
     /** Resolved `--seed` / SPIKESIM_SEED (kDefaultSeed when unset);
      *  the one RNG seed every randomized bench derives from. */
     std::uint64_t seed = 1;
-    /** Resolved `--simd` flag: Scalar/Simd/Avx512 when given, else
-     *  Auto (SPIKESIM_SIMD, then calibration — sim/kernels.hh). */
-    sim::SimdMode simd = sim::SimdMode::Auto;
     /** Shared worker pool, or null when threads == 0 (serial oracle
      *  path). Sized once by runWorkload so sweep and replay share it. */
     std::unique_ptr<support::ThreadPool> worker_pool;
@@ -266,28 +259,25 @@ struct Workload
  * sim/engine.hh over a per-CPU-partitioned structure-of-arrays trace
  * (sim/soa.hh) cached per (filter, data) key. Both paths produce
  * bit-identical results, so every bench table is byte-identical across
- * `--threads` and `--simd` settings; the production path resolves the
- * trace into its SoA columns once per key (Replayer::resolveSoA) and
- * fuses all configurations of a column into one walk through the SoA
- * replay kernels.
+ * `--threads` settings and SIMD kernels; the production path resolves
+ * the trace into its SoA columns once per key (Replayer::resolveSoA)
+ * and fuses all configurations of a column into one walk through the
+ * SoA replay kernels.
  */
 class BenchReplay
 {
   public:
-    /** Uses the workload's shared pool and SIMD mode (null pool =
-     *  oracle path). */
+    /** Uses the workload's shared pool (null pool = oracle path). */
     BenchReplay(const Workload& w, const core::Layout& app,
                 const core::Layout* kernel = nullptr)
-        : BenchReplay(w.buf, app, kernel, w.pool(), w.simd)
+        : BenchReplay(w.buf, app, kernel, w.pool())
     {
     }
 
     /** For benches that build their own trace/pool (ablations). */
     BenchReplay(const trace::TraceBuffer& buf, const core::Layout& app,
-                const core::Layout* kernel, support::ThreadPool* pool,
-                sim::SimdMode simd = sim::SimdMode::Auto)
-        : rep_(buf, app, kernel), pool_(pool),
-          parallel_(pool != nullptr), simd_(simd)
+                const core::Layout* kernel, support::ThreadPool* pool)
+        : rep_(buf, app, kernel), pool_(pool), parallel_(pool != nullptr)
     {
     }
 
@@ -348,7 +338,6 @@ class BenchReplay
     sim::Replayer rep_;
     support::ThreadPool* pool_;
     bool parallel_;
-    sim::SimdMode simd_ = sim::SimdMode::Auto;
     std::map<std::pair<int, bool>, sim::ResolvedTraceSoA> resolved_;
 };
 
@@ -368,30 +357,28 @@ class BenchReplay
  * timelines), `--progress SECS` prints a counter heartbeat to stderr
  * every SECS seconds. Environment fallbacks: SPIKESIM_TRACE_OUT,
  * SPIKESIM_MANIFEST_OUT, SPIKESIM_TIMELINE_OUT, SPIKESIM_PROGRESS.
- *
- * `--simd 0|1|2` forces the SoA replay kernels scalar, AVX2, or
- * AVX-512 (strictly one of those digits; wins over SPIKESIM_SIMD).
- * Forcing a kernel on a host that cannot run it is a fatal error,
- * never a silent fallback.
  */
 Workload runWorkload(int argc, char** argv,
                      std::uint64_t profile_txns = 800,
                      std::uint64_t trace_txns = 500);
 
 /**
- * Resolve the SoA kernel choice for a captured trace; runWorkload and
- * the benches that capture their own trace both call it, after capture
- * and before the first replay. When Auto-mode calibration is going to
- * run (`mode` Auto, SPIKESIM_SIMD unset, a vector kernel runnable, a
- * non-empty trace), it is first seeded (sim::seedCalibrationTrace)
- * with the trace resolved under the system's baseline layouts, so the
- * kernels are timed on the workload's own fetch-run shape rather than
- * the synthetic calibration trace's. A forced kernel the host cannot
- * run is fatal here.
+ * Strict parse of a non-negative decimal count (transaction counts,
+ * seeds, thread counts) from the command line or the environment: a
+ * sign, any non-digit, an empty string, or a value past 2^64-1 is a
+ * fatal error naming `what` (e.g. "trace_txns is not a number: '30x'"),
+ * followed by `usage_line` when it is non-empty.
  */
-sim::KernelChoice resolveKernelForTrace(sim::SimdMode mode,
-                                        const sim::System& system,
-                                        const trace::TraceBuffer& buf);
+std::uint64_t parseTxnCount(const std::string& arg, const char* what,
+                            const std::string& usage_line = "");
+
+/**
+ * Strict `--simd` value parse for the benches that force a kernel:
+ * exactly "0" (scalar) or "1" (AVX2); anything else is a fatal error
+ * followed by `usage_line`.
+ */
+sim::SimdMode parseSimdFlag(const std::string& arg,
+                            const std::string& usage_line);
 
 /**
  * Thread count from SPIKESIM_THREADS, or the hardware concurrency when

@@ -11,40 +11,35 @@
  *
  *   per-config oracle   one scalar Replayer walk per configuration
  *   soa scalar          Replayer::resolveSoA, scalar kernels forced
- *   soa avx2 / avx512   same, the vector kernels (when runnable here)
+ *   soa avx2            same, the AVX2 i-cache kernel (when runnable)
  *   soa pooled          same, the resolved kernel, sharded across a pool
  *
  * All paths must produce bit-identical results (the process exits
- * non-zero on any divergence, which is what the ctest smokes check —
- * bench_micro_replay_smoke with default dispatch,
- * bench_micro_replay_scalar_smoke with SPIKESIM_SIMD=0, and
- * bench_micro_replay_avx512_smoke with --simd 2, which exits 77 /
- * SKIP on hosts that cannot run the AVX-512 kernels). `--results-out
- * FILE` additionally dumps every replayed counter in a fixed text
- * format; the bench_micro_replay_identity ctest compares the dump of
- * a forced-scalar run byte-for-byte against an auto-dispatch run.
+ * non-zero on any divergence, which is what the bench_micro_replay_smoke
+ * ctest checks). The kernel is picked from CPUID like every other
+ * replay; `--simd 0` forces scalar and `--simd 1` forces AVX2 (fatal
+ * on a host without it). `--results-out FILE` additionally dumps every
+ * replayed counter in a fixed text format; the
+ * bench_micro_replay_identity ctest compares the dump of a
+ * forced-scalar process byte-for-byte against a CPUID-dispatch one.
  *
- * The kernel is resolved after the trace is captured, so Auto-mode
- * calibration times the kernels on a slice of this trace
- * (bench::resolveKernelForTrace). Timed phases, all in
- * BENCH_replay.json:
+ * Timed phases, all in BENCH_replay.json:
  *
  *  - the resolve phase: Replayer::resolveSoA of the combined stream.
  *  - per-family kernel rows: the three-C, iTLB, and stream-buffer
  *    column replays under each runnable kernel, next to the i-cache
- *    column (the iTLB kernel is FA-LRU-bound, so its rows measure
- *    the grouped flat walk, not vector width).
+ *    column (only the i-cache family has a vector kernel, so the
+ *    other families' avx2 rows time the same scalar walk).
  *  - the fig04 grid: the paper's 25-configuration direct-mapped
  *    sweep ({32..512}KB x {16..256}B), single-threaded, through every
- *    runnable SoA kernel; vector speedups are against soa scalar.
+ *    runnable SoA kernel; the avx2 speedup is against soa scalar.
  *
- * Usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1|2]
- *                     [--skip-unsupported-simd] [--results-out FILE]
+ * Usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1]
+ *                     [--results-out FILE]
  */
 
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 
@@ -436,15 +431,13 @@ struct FamilyTimes
 sim::SimdMode
 modeFor(sim::KernelKind kind)
 {
-    switch (kind) {
-    case sim::KernelKind::Avx2:
-        return sim::SimdMode::Simd;
-    case sim::KernelKind::Avx512:
-        return sim::SimdMode::Avx512;
-    default:
-        return sim::SimdMode::Scalar;
-    }
+    return kind == sim::KernelKind::Avx2 ? sim::SimdMode::Simd
+                                         : sim::SimdMode::Scalar;
 }
+
+constexpr const char* kUsage =
+    "usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1] "
+    "[--results-out FILE]";
 
 } // namespace
 
@@ -456,66 +449,40 @@ main(int argc, char** argv)
                   "per-config oracle vs SoA kernels (bit-identical)");
 
     std::uint64_t positional[2] = {400, 300};
+    const char* positional_names[2] = {"profile_txns", "trace_txns"};
     int n_positional = 0;
     sim::SimdMode simd_mode = sim::SimdMode::Auto;
-    bool skip_unsupported = false;
     std::string results_out;
-    auto parseSimd = [](const char* v) {
-        if (std::strcmp(v, "0") == 0)
-            return sim::SimdMode::Scalar;
-        if (std::strcmp(v, "1") == 0)
-            return sim::SimdMode::Simd;
-        if (std::strcmp(v, "2") == 0)
-            return sim::SimdMode::Avx512;
-        support::fatal(std::string("--simd must be 0, 1 or 2, got \"") +
-                       v + "\"");
-    };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc)
-            simd_mode = parseSimd(argv[++i]);
-        else if (std::strncmp(argv[i], "--simd=", 7) == 0)
-            simd_mode = parseSimd(argv[i] + 7);
-        else if (std::strcmp(argv[i], "--skip-unsupported-simd") == 0)
-            skip_unsupported = true;
-        else if (std::strcmp(argv[i], "--results-out") == 0 &&
-                 i + 1 < argc)
+        const std::string arg = argv[i];
+        if ((arg == "--simd" || arg == "--results-out") && i + 1 >= argc)
+            support::fatal(arg + " needs a value\n" + kUsage);
+        if (arg == "--simd") {
+            simd_mode = bench::parseSimdFlag(argv[++i], kUsage);
+        } else if (arg.rfind("--simd=", 0) == 0) {
+            simd_mode = bench::parseSimdFlag(arg.substr(7), kUsage);
+        } else if (arg == "--results-out") {
             results_out = argv[++i];
-        else if (std::strncmp(argv[i], "--results-out=", 14) == 0)
-            results_out = argv[i] + 14;
-        else if (std::strncmp(argv[i], "--", 2) == 0)
-            support::fatal(std::string("unknown flag ") + argv[i] +
-                           "; usage: micro_replay [profile_txns] "
-                           "[trace_txns] [--simd 0|1|2] "
-                           "[--skip-unsupported-simd] "
-                           "[--results-out FILE]");
-        else if (n_positional < 2)
-            positional[n_positional++] =
-                static_cast<std::uint64_t>(std::atoll(argv[i]));
+        } else if (arg.rfind("--results-out=", 0) == 0) {
+            results_out = arg.substr(14);
+        } else if (arg.rfind("--", 0) == 0) {
+            support::fatal("unknown flag " + arg + "\n" + kUsage);
+        } else if (n_positional < 2) {
+            positional[n_positional] = bench::parseTxnCount(
+                arg, positional_names[n_positional], kUsage);
+            ++n_positional;
+        } else {
+            support::fatal("too many arguments\n" + std::string(kUsage));
+        }
     }
     const std::uint64_t profile_txns = positional[0];
     const std::uint64_t trace_txns = positional[1];
 
-    // A forced-but-unrunnable kernel is normally a fatal error (never a
-    // silent fallback). The ctest AVX-512 smoke instead passes
-    // --skip-unsupported-simd and maps exit 77 to SKIP, recording why.
-    if (skip_unsupported) {
-        const char* why = nullptr;
-        if (simd_mode == sim::SimdMode::Simd && !sim::simdAvailable())
-            why = sim::simdKernelsCompiled()
-                      ? "host CPU does not report AVX2"
-                      : "binary was built without AVX2 support";
-        if (simd_mode == sim::SimdMode::Avx512 &&
-            !sim::avx512Available())
-            why = sim::avx512KernelsCompiled()
-                      ? "host CPU does not report AVX512F"
-                      : "binary was built without AVX-512 support";
-        if (why != nullptr) {
-            std::cerr << "[micro_replay] SKIP: requested SIMD kernel "
-                         "unavailable: "
-                      << why << "\n";
-            return 77;
-        }
-    }
+    // Resolve the dispatch once, before anything runs: --simd 1 on a
+    // host that cannot run the AVX2 kernels fails loudly here.
+    const sim::KernelChoice choice = sim::resolveKernel(simd_mode);
+    const char* kernel_name = sim::kernelName(choice.kind);
+
     sim::SystemConfig config;
     config.num_cpus = 4;
     sim::System system(config);
@@ -536,13 +503,6 @@ main(int argc, char** argv)
                                                config.kernel_text_base);
     sim::Replayer rep(buf, app, &kernel);
 
-    // Resolve the dispatch once, before any replay: --simd on a host
-    // that cannot run the requested kernels fails loudly here, and
-    // Auto calibrates (and caches its choice) on this trace.
-    const sim::KernelChoice choice =
-        bench::resolveKernelForTrace(simd_mode, system, buf);
-    const char* kernel_name = sim::kernelName(choice.kind);
-
     const int threads = std::max(1, bench::threadsFromEnv());
     support::ThreadPool pool(threads);
 
@@ -555,20 +515,11 @@ main(int argc, char** argv)
         runSuite(rep, SuitePath::SoA, sim::SimdMode::Scalar, nullptr);
     compareSuites(oracle, soa_scalar, "oracle vs soa scalar");
 
-    // Which vector kernels get their own comparison rows: --simd 0
-    // means a fully scalar run (what bench_micro_replay_scalar_smoke
-    // pins), a forced vector mode runs exactly that kernel, and Auto
-    // runs every kernel the host can — that is what makes the fig04
-    // scalar-vs-vector verdict measurable in one invocation.
+    // The vector kernel gets its own comparison rows whenever the
+    // resolved dispatch picked it; --simd 0 means a fully scalar run.
     std::vector<sim::KernelKind> vec_kinds;
-    if (simd_mode == sim::SimdMode::Auto) {
-        if (sim::simdAvailable())
-            vec_kinds.push_back(sim::KernelKind::Avx2);
-        if (sim::avx512Available())
-            vec_kinds.push_back(sim::KernelKind::Avx512);
-    } else if (choice.kind != sim::KernelKind::Scalar) {
+    if (choice.kind != sim::KernelKind::Scalar)
         vec_kinds.push_back(choice.kind);
-    }
 
     std::vector<SuiteResults> soa_vec(vec_kinds.size());
     for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
@@ -710,8 +661,6 @@ main(int argc, char** argv)
          << "  \"simd_kernel_reason\": \"" << choice.reason << "\",\n"
          << "  \"avx2_available\": "
          << (sim::simdAvailable() ? "true" : "false") << ",\n"
-         << "  \"avx512_available\": "
-         << (sim::avx512Available() ? "true" : "false") << ",\n"
          << "  \"oracle_seconds\": " << oracle.seconds << ",\n"
          << "  \"soa_scalar_seconds\": " << soa_scalar.seconds << ",\n"
          << "  \"soa_scalar_resolve_seconds\": "

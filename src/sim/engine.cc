@@ -134,10 +134,9 @@ replayICache(const ResolvedTraceSoA& soa,
 
 std::vector<mem::ThreeCStats>
 replayThreeCs(const ResolvedTraceSoA& soa,
-              std::span<const mem::CacheConfig> configs, SimdMode mode,
+              std::span<const mem::CacheConfig> configs, SimdMode,
               support::ThreadPool* pool)
 {
-    const KernelKind kind = resolveKernel(mode).kind;
     const std::size_t n_cfg = configs.size();
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<mem::ThreeCStats> partial(n_cfg * n_cpu);
@@ -152,7 +151,7 @@ replayThreeCs(const ResolvedTraceSoA& soa,
         shard.k0 = k0;
         shard.k1 = k1;
         shard.out = local.data();
-        detail::threeCShardRun(kind, shard);
+        detail::threeCShard(shard);
         for (std::size_t k = k0; k < k1; ++k)
             partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
                 local[k - k0];
@@ -168,10 +167,9 @@ replayThreeCs(const ResolvedTraceSoA& soa,
 std::vector<mem::StreamBufferStats>
 replayStreamBuffer(const ResolvedTraceSoA& soa,
                    std::span<const mem::CacheConfig> configs,
-                   int num_buffers, SimdMode mode,
+                   int num_buffers, SimdMode,
                    support::ThreadPool* pool)
 {
-    const KernelKind kind = resolveKernel(mode).kind;
     const std::size_t n_cfg = configs.size();
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<mem::StreamBufferStats> partial(n_cfg * n_cpu);
@@ -187,7 +185,7 @@ replayStreamBuffer(const ResolvedTraceSoA& soa,
         shard.k1 = k1;
         shard.num_buffers = num_buffers;
         shard.out = local.data();
-        detail::streamBufShardRun(kind, shard);
+        detail::streamBufShard(shard);
         for (std::size_t k = k0; k < k1; ++k)
             partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
                 local[k - k0];
@@ -220,7 +218,7 @@ replayInstrumented(const ResolvedTraceSoA& soa,
         shard.k1 = k1;
         shard.flush_at_end = flush_at_end;
         shard.out = local.data();
-        detail::instrShardRun(KernelKind::Scalar, shard);
+        detail::instrShard(shard);
         for (std::size_t k = k0; k < k1; ++k) {
             detail::InstrShardOut& o = local[k - k0];
             InstrPartial& p =
@@ -257,9 +255,8 @@ replayInstrumented(const ResolvedTraceSoA& soa,
 
 std::vector<ITlbReplayResult>
 replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
-           SimdMode mode, support::ThreadPool* pool)
+           SimdMode, support::ThreadPool* pool)
 {
-    const KernelKind kind = resolveKernel(mode).kind;
     const std::size_t n_cfg = specs.size();
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
     std::vector<ITlbReplayResult> partial(n_cfg * n_cpu);
@@ -274,7 +271,7 @@ replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
         shard.k0 = k0;
         shard.k1 = k1;
         shard.out = local.data();
-        detail::iTlbShardRun(kind, shard);
+        detail::iTlbShard(shard);
         for (std::size_t k = k0; k < k1; ++k)
             partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
                 local[k - k0];

@@ -43,10 +43,11 @@
  * ResolvedTraceSoA::data_refs, which preserves that global order.
  *
  * Every family but the sequence analysis routes through the throughput
- * kernels of sim/kernels.hh. The i-cache, three-C, iTLB and
- * stream-buffer families accept a SimdMode (the iTLB kernel is
- * FA-LRU-bound and runs the same scalar walk under every mode); the
- * instrumented and hierarchy kernels are scalar-only.
+ * kernels of sim/kernels.hh. Only the i-cache family has a vector
+ * kernel, and only replayICache acts on its SimdMode. The three-C,
+ * iTLB and stream-buffer entry points keep a SimdMode parameter for
+ * source compatibility but run their one scalar kernel under every
+ * mode; the instrumented and hierarchy kernels take none.
  */
 
 namespace spikesim::sim {

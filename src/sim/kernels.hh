@@ -18,14 +18,14 @@
  * Throughput replay kernels over the SoA resolved trace, plus the
  * runtime SIMD dispatch that picks between them.
  *
- * Three implementations of each config-column kernel family exist
- * behind one interface:
+ * The i-cache family is the one replay step where a vector walk pays,
+ * so it alone has two implementations behind one interface:
  *
  *  - scalar (kernels.cc): branch-lean reference implementation, built
  *    with the project's default flags. This path runs on any host and
  *    is the differential ground truth — the fuzz in
- *    tests/replay_parallel_test.cc pins it (and the vector paths) to
- *    the per-config scalar Replayer oracle bit for bit.
+ *    tests/replay_parallel_test.cc pins it (and the AVX2 path) to the
+ *    per-config scalar Replayer oracle bit for bit.
  *
  *  - AVX2 (kernels_avx2.cc): run-coalescing walk with gather-free
  *    direct-mapped probes. Consecutive same-owner instruction refs are
@@ -39,57 +39,45 @@
  *    flag (no global -march change) and is only entered when the host
  *    CPU reports AVX2.
  *
- *  - AVX-512 (kernels_avx512.cc): the same run-coalescing walk with
- *    512-bit probes (eight lines per compare via compare-to-mask).
- *    Gated the same way behind -mavx512f and cpuHasAvx512f().
+ * Every other family has one scalar implementation serving every
+ * KernelKind: three-C and stream buffers (their vector ports did not
+ * beat scalar by more than the run-to-run noise), the iTLB
+ * (FA-LRU-bound), the instrumented per-word walk (serial histogram
+ * updates), and the hierarchy (dependent L1 -> L2 probes plus iTLB
+ * lookups; its flat per-CPU state also backs serve::ServiceModel).
  *
- * Three families are scalar-only, one implementation serving every
- * KernelKind: the iTLB (FA-LRU-bound), the instrumented per-word walk
- * (serial histogram updates), and the hierarchy (dependent L1 -> L2
- * probes plus iTLB lookups; its flat per-CPU state also backs
- * serve::ServiceModel).
+ * Both i-cache kernels share their state layout and group
+ * construction via kernels_detail.hh, which is what makes
+ * "bit-identical by construction" a structural property rather than a
+ * testing aspiration: the only code that differs is the walk and probe
+ * arithmetic, and that computes the same integers.
  *
- * All kernels share their state layout and outer walk via
- * kernels_detail.hh / kernels_vec.hh (one template, per-width probe
- * traits), which is what makes "bit-identical by construction" a
- * structural property rather than a testing aspiration: the only code
- * that differs is the probe arithmetic, and that computes the same
- * integers.
- *
- * Dispatch: SimdMode::Auto consults the SPIKESIM_SIMD environment
- * variable (strictly "0", "1" or "2"; anything else is a fatal user
- * error). When neither a flag nor the environment decides, a one-time
- * calibration replay times every runnable kernel on a tiny synthetic
- * trace and the fastest wins; the choice and its reason are exposed via
- * KernelChoice so benches can record them in run manifests. Benches
- * expose the same choice as a --simd 0|1|2 flag, which wins over the
- * environment. Forcing a kernel the host cannot run is always fatal,
- * never a silent fallback.
+ * Dispatch is deterministic: SimdMode::Auto picks AVX2 exactly when
+ * the binary carries the AVX2 TU and CPUID reports AVX2, else scalar.
+ * Callers may force either kernel (micro_replay's --simd 0|1); forcing
+ * AVX2 on a host that cannot run it is fatal, never a silent fallback.
  */
 
 namespace spikesim::sim {
 
 /** Kernel selection request for the SoA replay entry points. */
 enum class SimdMode {
-    Auto = 0, ///< SPIKESIM_SIMD env if set, else calibration
+    Auto = 0, ///< AVX2 when CPUID reports it, else scalar
     Scalar,   ///< force the scalar kernels (any host)
     Simd,     ///< force the AVX2 kernels (fatal if unavailable)
-    Avx512,   ///< force the AVX-512 kernels (fatal if unavailable)
 };
 
 /** The concrete kernel implementation a replay call will run. */
 enum class KernelKind {
     Scalar = 0,
     Avx2,
-    Avx512,
 };
 
 /** Resolved dispatch decision plus a human-readable provenance note. */
 struct KernelChoice
 {
     KernelKind kind = KernelKind::Scalar;
-    std::string reason; ///< e.g. "--simd flag", "SPIKESIM_SIMD=1",
-                        ///< "auto-calibrated: avx512 1.4x vs scalar"
+    std::string reason; ///< e.g. "cpuid: avx2", "forced by caller: scalar"
 };
 
 /** True when the AVX2 kernel TU was compiled into this binary. */
@@ -98,55 +86,16 @@ bool simdKernelsCompiled();
 /** True when the AVX2 kernels can run here (compiled + CPU support). */
 bool simdAvailable();
 
-/** True when the AVX-512 kernel TU was compiled into this binary. */
-bool avx512KernelsCompiled();
-
-/** True when the AVX-512 kernels can run here (compiled + CPU). */
-bool avx512Available();
-
 /**
- * Strict SPIKESIM_SIMD parse: unset/empty -> Auto, "0" -> Scalar,
- * "1" -> Simd, "2" -> Avx512; anything else is a fatal configuration
- * error.
- */
-SimdMode simdModeFromEnv();
-
-/**
- * Resolve a mode to the final kernel choice. Scalar/Simd/Avx512 are
- * explicit caller requests (e.g. a --simd flag) and win over the
- * environment; Auto defers to simdModeFromEnv(), and when that is also
- * Auto, to a one-time calibration replay that times every runnable
- * kernel and picks the fastest (cached for the process lifetime).
- * Requesting a kernel the host cannot run is a fatal user error, never
- * a silent fallback.
+ * Resolve a mode to the final kernel choice. Auto returns AVX2 exactly
+ * when simdAvailable() and scalar otherwise, with a reason starting
+ * "cpuid:"; Scalar and Simd are explicit caller requests. Requesting
+ * a kernel the host cannot run is a fatal user error, never a silent
+ * fallback.
  */
 KernelChoice resolveKernel(SimdMode mode);
 
-/** Provenance of the Auto-mode calibration replay. */
-struct CalibrationInfo
-{
-    bool ran = false; ///< a timing replay actually ran
-    /** "synthetic" or "real-slice" (seedCalibrationTrace was used). */
-    std::string source = "synthetic";
-    /** Reference count of the calibration trace that was timed. */
-    std::uint64_t sample_refs = 0;
-};
-
-/**
- * Ground the Auto-mode calibration on a slice of a real resolved trace
- * instead of the synthetic one: the first `max_refs` references (single
- * CPU) are copied and the next calibration replay times the kernels on
- * them. Re-seeding invalidates any cached calibration, so call this
- * before the first resolveKernel(Auto). The synthetic trace remains the
- * fallback whenever no seed was provided.
- */
-void seedCalibrationTrace(const ResolvedTraceSoA& soa,
-                          std::size_t max_refs = 32 * 1024);
-
-/** Provenance of the most recent calibration (ran=false if none). */
-CalibrationInfo calibrationInfo();
-
-/** "scalar", "avx2" or "avx512" — for banners, manifests, JSON. */
+/** "scalar" or "avx2" — for banners, manifests, JSON. */
 const char* kernelName(KernelKind kind);
 
 namespace detail {
@@ -229,12 +178,17 @@ struct StreamBufShard
 };
 
 void icacheShardScalar(const IcacheShard& shard);
-void icacheShardAvx2(const IcacheShard& shard);   ///< AVX2 TU only
-void icacheShardAvx512(const IcacheShard& shard); ///< AVX-512 TU only
+void icacheShardAvx2(const IcacheShard& shard); ///< AVX2 TU only
 
-void threeCShardScalar(const ThreeCShard& shard);
-void threeCShardAvx2(const ThreeCShard& shard);   ///< AVX2 TU only
-void threeCShardAvx512(const ThreeCShard& shard); ///< AVX-512 TU only
+/** Dispatch one i-cache shard to the kernel implementation for `kind`. */
+void icacheShardRun(KernelKind kind, const IcacheShard& shard);
+
+/**
+ * Three-C classification. A vector set probe gains no more than the
+ * run-to-run noise on this family (EXPERIMENTS.md), so one scalar
+ * implementation serves every KernelKind.
+ */
+void threeCShard(const ThreeCShard& shard);
 
 /**
  * The iTLB family reduces to an exact fully-associative LRU bound over
@@ -273,16 +227,12 @@ struct HierarchyShard
  */
 void hierarchyShard(const HierarchyShard& shard);
 
-void streamBufShardScalar(const StreamBufShard& shard);
-void streamBufShardAvx2(const StreamBufShard& shard);   ///< AVX2 TU
-void streamBufShardAvx512(const StreamBufShard& shard); ///< AVX-512 TU
-
-/** Dispatch one shard to the kernel implementation for `kind`. */
-void icacheShardRun(KernelKind kind, const IcacheShard& shard);
-void threeCShardRun(KernelKind kind, const ThreeCShard& shard);
-void iTlbShardRun(KernelKind kind, const ITlbShard& shard);
-void instrShardRun(KernelKind kind, const InstrShard& shard);
-void streamBufShardRun(KernelKind kind, const StreamBufShard& shard);
+/**
+ * Stream-buffered i-cache replay. A vector set probe measured slower
+ * than scalar on this family (EXPERIMENTS.md), so one scalar
+ * implementation serves every KernelKind.
+ */
+void streamBufShard(const StreamBufShard& shard);
 
 } // namespace detail
 

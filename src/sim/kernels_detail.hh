@@ -20,12 +20,11 @@
  * scalar probe sets, for the i-cache, three-C, iTLB and stream-buffer
  * families, plus the scalar-only instrumented and hierarchy kernels
  * (the latter's flat state also backs serve::ServiceModel). The scalar
- * TU (kernels.cc) and the vector TUs
- * (kernels_avx2.cc / kernels_avx512.cc via kernels_vec.hh) instantiate
- * the same templates with their probe traits, so the kernels can only
- * differ in probe arithmetic — never in state layout, walk order, or
- * counting — which is what keeps them bit-identical to each other and
- * to the scalar Replayer oracle.
+ * i-cache walk (kernels.cc) and the AVX2 run-coalescing walk
+ * (kernels_avx2.cc) build and fold the same IcacheState and fall back
+ * to the same ScalarProbe, so they can only differ in probe arithmetic
+ * — never in state layout or counting — which is what keeps them
+ * bit-identical to each other and to the scalar Replayer oracle.
  *
  * Algorithm (per CPU, per line-size group of the config chunk):
  *
@@ -260,7 +259,6 @@ inline constexpr std::size_t kRefPrefetch = 24;
 /** Lead (in refs) for the tag-line prefetch of the biggest DM table. */
 inline constexpr std::size_t kTagPrefetch = 4;
 
-template <class Probe>
 inline void
 runIcacheShardImpl(const IcacheShard& sh)
 {
@@ -309,10 +307,10 @@ runIcacheShardImpl(const IcacheShard& sh)
                 if (!g.dm.empty()) {
                     const DmMember& mn = g.dm[g.dm_min];
                     if (g.dm_tags[mn.offset + (ln & mn.mask)] != ln)
-                        Probe::dmSlow(g, ln, m, st.intf.data());
+                        ScalarProbe::dmSlow(g, ln, m, st.intf.data());
                 }
                 for (const AssocMember& a : g.am)
-                    Probe::amProbe(g, a, ln, m, st.intf.data());
+                    ScalarProbe::amProbe(g, a, ln, m, st.intf.data());
             }
             g.last_line = last;
         }
@@ -660,7 +658,6 @@ classifyThreeC(std::uint64_t* c, bool seen, bool ideal_hit)
         ++c[2];
 }
 
-template <class Probe>
 inline void
 runThreeCShardImpl(const ThreeCShard& sh)
 {
@@ -720,7 +717,8 @@ runThreeCShardImpl(const ThreeCShard& sh)
                         g.am_tags.data() + a.base + set * a.assoc;
                     std::uint64_t* ages =
                         g.am_ages.data() + a.base + set * a.assoc;
-                    if (!Probe::amAccess(tags, ages, a.assoc, ln))
+                    if (!ScalarStatsProbe::amAccess(tags, ages, a.assoc,
+                                                    ln))
                         classifyThreeC(cls[a.slot].data(), seen,
                                        g.ideal_hit[g.am_cap[j]] != 0);
                 }
@@ -1229,7 +1227,6 @@ buildStreamBufGroups(const mem::CacheConfig* configs, std::size_t k0,
     return groups;
 }
 
-template <class Probe>
 inline void
 runStreamBufShardImpl(const StreamBufShard& sh)
 {
@@ -1272,7 +1269,7 @@ runStreamBufShardImpl(const StreamBufShard& sh)
                     } else {
                         const std::size_t set =
                             (ln & m.set_mask) * m.assoc;
-                        hit = Probe::amAccess(
+                        hit = ScalarStatsProbe::amAccess(
                             g.tags.data() + m.base + set,
                             g.ages.data() + m.base + set, m.assoc, ln);
                     }

@@ -15,15 +15,4 @@ cpuHasAvx2()
 #endif
 }
 
-bool
-cpuHasAvx512f()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    static const bool has = __builtin_cpu_supports("avx512f") != 0;
-    return has;
-#else
-    return false;
-#endif
-}
-
 } // namespace spikesim::support

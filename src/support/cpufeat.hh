@@ -5,17 +5,14 @@
  * @file
  * Runtime CPU feature detection for the SIMD replay kernels. The
  * binary is built without any global -march bump (only the dedicated
- * vector translation units get -mavx2 / -mavx512f), so whether the
- * vector kernels may run is strictly a runtime question answered here.
+ * vector translation unit gets -mavx2), so whether the vector kernels
+ * may run is strictly a runtime question answered here.
  */
 
 namespace spikesim::support {
 
 /** True when the host CPU executes AVX2 (checked once, cached). */
 bool cpuHasAvx2();
-
-/** True when the host CPU executes AVX-512F (checked once, cached). */
-bool cpuHasAvx512f();
 
 } // namespace spikesim::support
 

@@ -10,10 +10,10 @@
  * family runs serial-fused (no pool), on a 2-thread pool, and on an
  * 8-thread pool wider than most traces' CPU count (which engages the
  * per-(cpu, config-chunk) sharding path), under every SoA kernel
- * runnable here — forced scalar, forced AVX2, and forced AVX-512
- * (sim/kernels.hh) — for the families that take a SimdMode. The SIMD
- * kernels have no tolerance: miss counts, classification counts, and
- * interference matrices must match the scalar Replayer bit for bit.
+ * runnable here — forced scalar and forced AVX2 (sim/kernels.hh) —
+ * for the families that take a SimdMode. The SIMD kernels have no
+ * tolerance: miss counts, classification counts, and interference
+ * matrices must match the scalar Replayer bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -100,30 +100,21 @@ const StreamFilter kFilters[] = {StreamFilter::AppOnly,
                                  StreamFilter::KernelOnly,
                                  StreamFilter::Combined};
 
-/** Kernel modes runnable here: scalar always, AVX2 and AVX-512 when
- *  the host can. */
+/** Kernel modes runnable here: scalar always, AVX2 when the host
+ *  can. */
 std::vector<SimdMode>
 runnableModes()
 {
     std::vector<SimdMode> modes{SimdMode::Scalar};
     if (simdAvailable())
         modes.push_back(SimdMode::Simd);
-    if (avx512Available())
-        modes.push_back(SimdMode::Avx512);
     return modes;
 }
 
 const char*
 modeLabel(SimdMode mode)
 {
-    switch (mode) {
-    case SimdMode::Simd:
-        return "soa avx2";
-    case SimdMode::Avx512:
-        return "soa avx512";
-    default:
-        return "soa scalar";
-    }
+    return mode == SimdMode::Simd ? "soa avx2" : "soa scalar";
 }
 
 template <typename H>

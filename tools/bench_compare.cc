@@ -79,7 +79,6 @@ constexpr Rule kRules[] = {
     {"args*", Direction::Info},
     {"binary", Direction::Info},
     {"*simd_kernel*", Direction::Info},
-    {"calibration*", Direction::Info},
     {"*perf.*", Direction::Info},
     {"phases*", Direction::Info},
     {"*reason*", Direction::Info},

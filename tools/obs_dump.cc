@@ -333,8 +333,8 @@ checkServing(BenchChecker& c)
 }
 
 /** Field checks specific to BENCH_replay.json (the SoA/SIMD replay
- *  micro-bench). Per-kernel keys (soa_avx2_seconds, family_*_seconds,
- *  ...) depend on the host's SIMD support, so only the always-present
+ *  micro-bench). The avx2 keys (soa_avx2_seconds, family_avx2_*, ...)
+ *  depend on the host's SIMD support, so only the always-present
  *  headline fields are required. */
 void
 checkReplay(BenchChecker& c)
@@ -352,7 +352,6 @@ checkReplay(BenchChecker& c)
     c.string(doc, "top level", "simd_kernel");
     c.string(doc, "top level", "simd_kernel_reason");
     c.boolean(doc, "top level", "avx2_available");
-    c.boolean(doc, "top level", "avx512_available");
     c.boolean(doc, "top level", "differential_ok");
 }
 
