@@ -1,10 +1,12 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
+#include "sim/kernels_detail.hh"
 
 namespace spikesim::sim {
 
@@ -75,14 +77,54 @@ forEachShard(const ResolvedTraceSoA& trace, std::size_t n_cfg,
     pool->wait();
 }
 
-/** Per-(config, CPU) instrumented partial: histogram copies plus the
- *  two scalars the CPU-ordered unused-fraction merge needs. */
-struct InstrPartial
+/**
+ * The one shard-and-merge driver of the fused families: run
+ * kernel(shard) on every (cpu, config-chunk) cell of forEachShard,
+ * keep each cell's outputs as per-(config, CPU) partials, then build
+ * config k's result with merge(k, partials) from its partials in
+ * ascending CPU order, the order the oracle's interleaved walk sums
+ * them in. An empty config span runs no shard.
+ */
+template <typename Out, typename Config, typename Kernel, typename Merge>
+auto
+replayShards(const ResolvedTraceSoA& soa, std::span<const Config> configs,
+             support::ThreadPool* pool, const Kernel& kernel,
+             const Merge& merge)
 {
-    WordStats stats; ///< histograms copy-assigned from the cache
-    std::uint64_t samples = 0;
-    double unused_frac = 0.0;
-};
+    const std::size_t n_cfg = configs.size();
+    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
+    std::vector<Out> partial(n_cfg * n_cpu);
+
+    forEachShard(soa, n_cfg, pool,
+                 [&](int cpu, std::size_t k0, std::size_t k1) {
+        std::vector<Out> local(k1 - k0);
+        kernel(detail::Shard<Config, Out>{&soa, cpu, configs.data(), k0,
+                                          k1, local.data()});
+        for (std::size_t k = k0; k < k1; ++k)
+            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
+                std::move(local[k - k0]);
+    });
+
+    using Result = std::invoke_result_t<const Merge&, std::size_t,
+                                        std::span<const Out>>;
+    std::vector<Result> out;
+    out.reserve(n_cfg);
+    const std::span<const Out> all(partial);
+    for (std::size_t k = 0; k < n_cfg; ++k)
+        out.push_back(merge(k, all.subspan(k * n_cpu, n_cpu)));
+    return out;
+}
+
+/** Merge for the families whose results sum with operator+=. */
+template <typename T>
+T
+sumOverCpus(std::size_t, std::span<const T> cpus)
+{
+    T sum{};
+    for (const T& p : cpus)
+        sum += p;
+    return sum;
+}
 
 } // namespace
 
@@ -95,41 +137,25 @@ replayICache(const ResolvedTraceSoA& soa,
     // a host without it) must fire before any shard runs, and every
     // shard must use the same kernel.
     const KernelKind kind = resolveKernel(mode).kind;
-    const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<ICacheReplayResult> partial(n_cfg * n_cpu);
-
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<ICacheReplayResult> local(k1 - k0);
-        detail::IcacheShard shard;
-        shard.soa = &soa;
-        shard.cpu = cpu;
-        shard.configs = configs.data();
-        shard.k0 = k0;
-        shard.k1 = k1;
-        shard.out = local.data();
-        detail::icacheShardRun(kind, shard);
-        for (std::size_t k = k0; k < k1; ++k)
-            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                local[k - k0];
-    });
-
-    std::vector<ICacheReplayResult> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k) {
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            const ICacheReplayResult& p = partial[k * n_cpu + c];
-            out[k].accesses += p.accesses;
-            out[k].misses += p.misses;
-            out[k].app_misses += p.app_misses;
-            out[k].kernel_misses += p.kernel_misses;
-            for (int m = 0; m < 2; ++m)
-                for (int v = 0; v < 3; ++v)
-                    out[k].interference.counts[m][v] +=
-                        p.interference.counts[m][v];
-        }
-    }
-    return out;
+    return replayShards<ICacheReplayResult>(
+        soa, configs, pool,
+        [kind](const detail::IcacheShard& sh) {
+            detail::icacheShardRun(kind, sh);
+        },
+        [](std::size_t, std::span<const ICacheReplayResult> cpus) {
+            ICacheReplayResult r;
+            for (const ICacheReplayResult& p : cpus) {
+                r.accesses += p.accesses;
+                r.misses += p.misses;
+                r.app_misses += p.app_misses;
+                r.kernel_misses += p.kernel_misses;
+                for (int m = 0; m < 2; ++m)
+                    for (int v = 0; v < 3; ++v)
+                        r.interference.counts[m][v] +=
+                            p.interference.counts[m][v];
+            }
+            return r;
+        });
 }
 
 std::vector<mem::ThreeCStats>
@@ -137,31 +163,10 @@ replayThreeCs(const ResolvedTraceSoA& soa,
               std::span<const mem::CacheConfig> configs, SimdMode,
               support::ThreadPool* pool)
 {
-    const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<mem::ThreeCStats> partial(n_cfg * n_cpu);
-
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<mem::ThreeCStats> local(k1 - k0);
-        detail::ThreeCShard shard;
-        shard.soa = &soa;
-        shard.cpu = cpu;
-        shard.configs = configs.data();
-        shard.k0 = k0;
-        shard.k1 = k1;
-        shard.out = local.data();
-        detail::threeCShard(shard);
-        for (std::size_t k = k0; k < k1; ++k)
-            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                local[k - k0];
-    });
-
-    std::vector<mem::ThreeCStats> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k)
-        for (std::size_t c = 0; c < n_cpu; ++c)
-            out[k] += partial[k * n_cpu + c];
-    return out;
+    return replayShards<mem::ThreeCStats>(
+        soa, configs, pool,
+        detail::runThreeCShardImpl,
+        sumOverCpus<mem::ThreeCStats>);
 }
 
 std::vector<mem::StreamBufferStats>
@@ -170,32 +175,12 @@ replayStreamBuffer(const ResolvedTraceSoA& soa,
                    int num_buffers, SimdMode,
                    support::ThreadPool* pool)
 {
-    const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<mem::StreamBufferStats> partial(n_cfg * n_cpu);
-
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<mem::StreamBufferStats> local(k1 - k0);
-        detail::StreamBufShard shard;
-        shard.soa = &soa;
-        shard.cpu = cpu;
-        shard.configs = configs.data();
-        shard.k0 = k0;
-        shard.k1 = k1;
-        shard.num_buffers = num_buffers;
-        shard.out = local.data();
-        detail::streamBufShard(shard);
-        for (std::size_t k = k0; k < k1; ++k)
-            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                local[k - k0];
-    });
-
-    std::vector<mem::StreamBufferStats> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k)
-        for (std::size_t c = 0; c < n_cpu; ++c)
-            out[k] += partial[k * n_cpu + c];
-    return out;
+    return replayShards<mem::StreamBufferStats>(
+        soa, configs, pool,
+        [num_buffers](const auto& sh) {
+            detail::runStreamBufShardImpl(sh, num_buffers);
+        },
+        sumOverCpus<mem::StreamBufferStats>);
 }
 
 std::vector<WordStats>
@@ -203,88 +188,39 @@ replayInstrumented(const ResolvedTraceSoA& soa,
                    std::span<const mem::CacheConfig> configs,
                    bool flush_at_end, support::ThreadPool* pool)
 {
-    const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<InstrPartial> partial(n_cfg * n_cpu);
-
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<detail::InstrShardOut> local(k1 - k0);
-        detail::InstrShard shard;
-        shard.soa = &soa;
-        shard.cpu = cpu;
-        shard.configs = configs.data();
-        shard.k0 = k0;
-        shard.k1 = k1;
-        shard.flush_at_end = flush_at_end;
-        shard.out = local.data();
-        detail::instrShard(shard);
-        for (std::size_t k = k0; k < k1; ++k) {
-            detail::InstrShardOut& o = local[k - k0];
-            InstrPartial& p =
-                partial[k * n_cpu + static_cast<std::size_t>(cpu)];
-            p.stats.words_used = std::move(o.words_used);
-            p.stats.word_reuse = std::move(o.word_reuse);
-            p.stats.lifetimes = std::move(o.lifetimes);
-            p.stats.misses = o.misses;
-            p.samples = o.samples;
-            p.unused_frac = o.unused_word_fraction;
-        }
-    });
-
-    std::vector<WordStats> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k) {
-        out[k].words_used =
-            support::Histogram(configs[k].line_bytes / 4 + 1);
-        double fetched = 0.0;
-        double unused = 0.0;
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            const InstrPartial& p = partial[k * n_cpu + c];
-            out[k].words_used.merge(p.stats.words_used);
-            out[k].word_reuse.merge(p.stats.word_reuse);
-            out[k].lifetimes.merge(p.stats.lifetimes);
-            out[k].misses += p.stats.misses;
-            fetched += static_cast<double>(p.samples);
-            unused += p.unused_frac * static_cast<double>(p.samples);
-        }
-        out[k].unused_word_fraction =
-            fetched == 0.0 ? 0.0 : unused / fetched;
-    }
-    return out;
+    return replayShards<detail::InstrShardOut>(
+        soa, configs, pool,
+        [flush_at_end](const auto& sh) {
+            detail::runInstrShardImpl(sh, flush_at_end);
+        },
+        [&](std::size_t k, std::span<const detail::InstrShardOut> cpus) {
+            WordStats r;
+            r.words_used =
+                support::Histogram(configs[k].line_bytes / 4 + 1);
+            double fetched = 0.0;
+            double unused = 0.0;
+            for (const detail::InstrShardOut& p : cpus) {
+                r.words_used.merge(p.words_used);
+                r.word_reuse.merge(p.word_reuse);
+                r.lifetimes.merge(p.lifetimes);
+                r.misses += p.misses;
+                fetched += static_cast<double>(p.samples);
+                unused += p.unused_word_fraction *
+                          static_cast<double>(p.samples);
+            }
+            r.unused_word_fraction = fetched == 0.0 ? 0.0 : unused / fetched;
+            return r;
+        });
 }
 
 std::vector<ITlbReplayResult>
 replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
            SimdMode, support::ThreadPool* pool)
 {
-    const std::size_t n_cfg = specs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<ITlbReplayResult> partial(n_cfg * n_cpu);
-
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<ITlbReplayResult> local(k1 - k0);
-        detail::ITlbShard shard;
-        shard.soa = &soa;
-        shard.cpu = cpu;
-        shard.specs = specs.data();
-        shard.k0 = k0;
-        shard.k1 = k1;
-        shard.out = local.data();
-        detail::iTlbShard(shard);
-        for (std::size_t k = k0; k < k1; ++k)
-            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                local[k - k0];
-    });
-
-    std::vector<ITlbReplayResult> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k) {
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            out[k].accesses += partial[k * n_cpu + c].accesses;
-            out[k].misses += partial[k * n_cpu + c].misses;
-        }
-    }
-    return out;
+    return replayShards<ITlbReplayResult>(
+        soa, specs, pool,
+        detail::runITlbShardImpl,
+        sumOverCpus<ITlbReplayResult>);
 }
 
 std::vector<HierarchyReplayResult>
@@ -294,7 +230,6 @@ replayHierarchy(const ResolvedTraceSoA& soa,
 {
     const std::size_t n_cfg = configs.size();
     const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
-    std::vector<mem::HierarchyStats> partial(n_cfg * n_cpu);
     std::vector<std::uint64_t> instrs_cpu(n_cpu, 0);
     std::vector<std::uint64_t> breaks_cpu(n_cpu, 0);
     std::vector<std::uint64_t> comm(n_cfg, 0);
@@ -320,49 +255,35 @@ replayHierarchy(const ResolvedTraceSoA& soa,
         } else {
             for (std::size_t k = 0; k < n_cfg; ++k)
                 pool->submit([coherence, k] { coherence(k); });
-            // forEachShard's wait() below is the barrier for these too.
+            // forEachShard's wait() in replayShards is the barrier for
+            // these too.
         }
     }
 
-    forEachShard(soa, n_cfg, pool,
-                 [&](int cpu, std::size_t k0, std::size_t k1) {
-        std::vector<mem::HierarchyStats> local(k1 - k0);
-        std::uint64_t instrs = 0;
-        std::uint64_t breaks = 0;
-        detail::HierarchyShard shard;
-        shard.soa = &soa;
-        shard.cpu = cpu;
-        shard.configs = configs.data();
-        shard.k0 = k0;
-        shard.k1 = k1;
-        shard.out = local.data();
-        shard.instrs = &instrs;
-        shard.fetch_breaks = &breaks;
-        detail::hierarchyShard(shard);
-        for (std::size_t k = k0; k < k1; ++k)
-            partial[k * n_cpu + static_cast<std::size_t>(cpu)] =
-                local[k - k0];
-        if (k0 == 0) {
-            instrs_cpu[static_cast<std::size_t>(cpu)] = instrs;
-            breaks_cpu[static_cast<std::size_t>(cpu)] = breaks;
-        }
-    });
-
-    std::vector<HierarchyReplayResult> out(n_cfg);
-    for (std::size_t k = 0; k < n_cfg; ++k) {
-        out[k].total.comm_misses = comm[k];
-        out[k].per_cpu.reserve(n_cpu);
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            const mem::HierarchyStats& s = partial[k * n_cpu + c];
-            out[k].per_cpu.push_back(s);
-            out[k].total += s;
-        }
-        for (std::size_t c = 0; c < n_cpu; ++c) {
-            out[k].instrs += instrs_cpu[c];
-            out[k].fetch_breaks += breaks_cpu[c];
-        }
-    }
-    return out;
+    return replayShards<mem::HierarchyStats>(
+        soa, configs, pool,
+        [&](const auto& sh) {
+            std::uint64_t instrs = 0;
+            std::uint64_t breaks = 0;
+            detail::runHierarchyShardImpl(sh, instrs, breaks);
+            // The counts are config-independent: keep chunk 0's.
+            if (sh.k0 == 0) {
+                instrs_cpu[static_cast<std::size_t>(sh.cpu)] = instrs;
+                breaks_cpu[static_cast<std::size_t>(sh.cpu)] = breaks;
+            }
+        },
+        [&](std::size_t k, std::span<const mem::HierarchyStats> cpus) {
+            HierarchyReplayResult r;
+            r.total.comm_misses = comm[k];
+            r.per_cpu.assign(cpus.begin(), cpus.end());
+            for (const mem::HierarchyStats& s : cpus)
+                r.total += s;
+            for (std::size_t c = 0; c < n_cpu; ++c) {
+                r.instrs += instrs_cpu[c];
+                r.fetch_breaks += breaks_cpu[c];
+            }
+            return r;
+        });
 }
 
 metrics::SequenceStats

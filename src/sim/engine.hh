@@ -42,8 +42,12 @@
  * as its own sharded pass per configuration over
  * ResolvedTraceSoA::data_refs, which preserves that global order.
  *
- * Every family but the sequence analysis routes through the throughput
- * kernels of sim/kernels.hh. Only the i-cache family has a vector
+ * Every family but the sequence analysis runs through one driver
+ * (engine.cc): each (CPU, config-chunk) cell runs the family's kernel
+ * from sim/kernels_detail.hh on a detail::Shard, the cells' outputs
+ * are kept per (config, CPU), and each config's result is merged from
+ * its per-CPU partials in CPU order. An empty config span returns an
+ * empty vector and runs no shard. Only the i-cache family has a vector
  * kernel, and only replayICache acts on its SimdMode. The three-C,
  * iTLB and stream-buffer entry points keep a SimdMode parameter for
  * source compatibility but run their one scalar kernel under every

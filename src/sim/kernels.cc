@@ -70,12 +70,6 @@ kernelName(KernelKind kind)
 
 namespace detail {
 
-void
-icacheShardScalar(const IcacheShard& shard)
-{
-    runIcacheShardImpl(shard);
-}
-
 #if !defined(SPIKESIM_AVX2_TU)
 void
 icacheShardAvx2(const IcacheShard& shard)
@@ -91,37 +85,7 @@ icacheShardRun(KernelKind kind, const IcacheShard& shard)
     if (kind == KernelKind::Avx2)
         icacheShardAvx2(shard);
     else
-        icacheShardScalar(shard);
-}
-
-void
-threeCShard(const ThreeCShard& shard)
-{
-    runThreeCShardImpl(shard);
-}
-
-void
-iTlbShard(const ITlbShard& shard)
-{
-    runITlbShardImpl(shard);
-}
-
-void
-instrShard(const InstrShard& shard)
-{
-    runInstrShardImpl(shard);
-}
-
-void
-hierarchyShard(const HierarchyShard& shard)
-{
-    runHierarchyShardImpl(shard);
-}
-
-void
-streamBufShard(const StreamBufShard& shard)
-{
-    runStreamBufShardImpl(shard);
+        runIcacheShardImpl(shard);
 }
 
 } // namespace detail

@@ -12,9 +12,12 @@
 
 /**
  * @file
- * The AVX2 i-cache kernel. This TU alone is compiled with -mavx2 (see
- * src/sim/CMakeLists.txt); nothing here runs unless
- * sim::resolveKernel() confirmed the host CPU reports AVX2.
+ * The AVX2 i-cache kernel. Only this TU's own code is compiled for
+ * AVX2: the target pragma below comes after every include, so the
+ * inline helpers it shares with the scalar kernels (kernels_detail.hh,
+ * the standard library) are emitted without VEX instructions, and the
+ * linker may keep either TU's weak copy of them. Nothing here runs
+ * unless sim::resolveKernel() confirmed the host CPU reports AVX2.
  *
  * Instead of gathering scattered tag slots per line, the walk
  * exploits what an instruction trace actually looks like:
@@ -47,6 +50,9 @@
  * compare + branch-free LRU age update, scalar fallback otherwise),
  * applied per line of the span.
  */
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
 
 namespace spikesim::sim::detail {
 namespace {
@@ -393,7 +399,7 @@ runIcacheShardRuns(const IcacheShard& sh)
             for (LineGroup& g : st.groups) {
                 const std::uint64_t l0 = first >> g.shift;
                 const std::uint64_t l1 = last_byte >> g.shift;
-                g.accesses +=
+                g.line_steps +=
                     (l1 - l0 + 1) + (nb != 0 ? tz[g.shift] : 0u);
                 const std::uint64_t start =
                     l0 + (l0 == g.last_line ? 1 : 0);
@@ -421,7 +427,7 @@ runIcacheShardRuns(const IcacheShard& sh)
         for (LineGroup& g : st.groups) {
             const std::uint64_t l0 = first >> g.shift;
             const std::uint64_t l1 = last_byte >> g.shift;
-            g.accesses += (l1 - l0 + 1) + (nb != 0 ? tz[g.shift] : 0u);
+            g.line_steps += (l1 - l0 + 1) + (nb != 0 ? tz[g.shift] : 0u);
             const std::uint64_t start =
                 l0 + (l0 == g.last_line ? 1 : 0);
             g.last_line = l1;
@@ -458,5 +464,7 @@ icacheShardAvx2(const IcacheShard& shard)
 }
 
 } // namespace spikesim::sim::detail
+
+#pragma GCC pop_options
 
 #endif // SPIKESIM_AVX2_TU

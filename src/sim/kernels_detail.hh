@@ -9,30 +9,42 @@
 #include <vector>
 
 #include "mem/hierarchy.hh"
+#include "mem/streambuf.hh"
+#include "mem/threec.hh"
 #include "program/program.hh"
 #include "sim/kernels.hh"
+#include "support/histogram.hh"
 #include "support/panic.hh"
 
 /**
  * @file
- * Shared implementation of the fused replay kernels: state layout and
- * construction, the outer SoA walks with their fast paths, and the
- * scalar probe sets, for the i-cache, three-C, iTLB and stream-buffer
- * families, plus the scalar-only instrumented and hierarchy kernels
- * (the latter's flat state also backs serve::ServiceModel). The scalar
- * i-cache walk (kernels.cc) and the AVX2 run-coalescing walk
- * (kernels_avx2.cc) build and fold the same IcacheState and fall back
- * to the same ScalarProbe, so they can only differ in probe arithmetic
- * — never in state layout or counting — which is what keeps them
- * bit-identical to each other and to the scalar Replayer oracle.
+ * The fused replay kernels, one per simulator family, and the pieces
+ * they share. sim/engine.cc runs each kernel on detail::Shard cells
+ * (one CPU's slice, one config chunk); every kernel overwrites its
+ * cell's outputs and nothing else.
  *
- * Algorithm (per CPU, per line-size group of the config chunk):
+ * The i-cache, three-C, stream-buffer, iTLB and instrumented kernels
+ * are one walk with different probes. The shared pieces are cursors
+ * that the kernels' own loops call, not callbacks: GCC kept probe
+ * lambdas out of line, a call per ref.
  *
- *  - Repeat line: a line equal to this group's previous line is the
- *    MRU entry of its set in every member cache — a guaranteed hit
- *    with no LRU state change (re-stamping the MRU entry is a no-op),
- *    so only the access counter moves. Instruction streams are
- *    sequential, so this path takes a large share of fetches.
+ *  - InstrRefWalk: the per-CPU instruction-ref walk. It streams the
+ *    addr/bytes columns kRefPrefetch refs ahead, skips Owner::Data
+ *    refs, and hands each ref over as its [addr, last_byte] range.
+ *
+ *  - groupBySize: configs are grouped by line size (the iTLB: by fetch
+ *    granularity), since configs of one line size step through the
+ *    same line sequence.
+ *
+ *  - LineCursor: per group, every line of every ref counts as one
+ *    access (line_steps), and a line equal to the group's previous
+ *    line is skipped. A repeat line is the MRU entry of its set in
+ *    every member cache (and the MRU page of every iTLB): a hit with
+ *    no state change, so only the counter moves. Instruction streams
+ *    are sequential, so this path takes a large share of fetches.
+ *
+ * The i-cache and three-C kernels also share one tag-table layout
+ * (TagTables):
  *
  *  - Direct-mapped members share one inclusive check: the set masks
  *    at one line size are nested low-bit masks, so if the fewest-set
@@ -49,9 +61,17 @@
  *    SetAssocCache victim order exactly (invalid ways fill from the
  *    highest index down, then true LRU).
  *
- * Interference attribution needs the victim owner, so every table
- * slot carries an owner byte (0 app / 1 kernel / 2 cold) that is only
- * written on fills — identical to the oracle's owner-tag semantics.
+ * Interference attribution needs the victim owner, so every i-cache
+ * table slot also carries an owner byte (0 app / 1 kernel / 2 cold)
+ * that is only written on fills, identical to the oracle's owner-tag
+ * semantics. The AVX2 run-coalescing walk (kernels_avx2.cc) builds and
+ * folds the same IcacheState and falls back to the same ScalarProbe,
+ * so the two i-cache kernels can only differ in probe arithmetic,
+ * never in state layout or counting.
+ *
+ * The hierarchy kernel (data refs too, one L1 per group of equal L1
+ * geometry) and the layout-pricing kernel keep their own walks; the
+ * hierarchy's flat per-CPU state also backs serve::ServiceModel.
  */
 
 namespace spikesim::sim::detail {
@@ -59,6 +79,140 @@ namespace spikesim::sim::detail {
 inline constexpr std::uint64_t kInvalidTag = ~0ULL;
 /** Victim-owner code for an invalid (cold) entry. */
 inline constexpr std::uint8_t kOwnerCold = 2;
+
+/** How many refs ahead the column prefetches run. */
+inline constexpr std::size_t kRefPrefetch = 24;
+/** Lead (in refs) for the tag-line prefetch of the biggest DM table. */
+inline constexpr std::size_t kTagPrefetch = 4;
+
+/** One instruction ref of a CPU's slice, as the walks see it. */
+struct InstrRef
+{
+    std::uint64_t addr = 0;      ///< first byte
+    std::uint64_t last_byte = 0; ///< last byte (inclusive)
+    std::uint8_t owner = 0;      ///< mem::Owner::App or Owner::Kernel
+    /** Address kTagPrefetch refs ahead (this ref's near the end). */
+    std::uint64_t ahead = 0;
+};
+
+/**
+ * The per-CPU instruction-ref walk: next() yields CPU `cpu`'s
+ * instruction refs in trace order, skipping Owner::Data refs and
+ * streaming the addr/bytes columns kRefPrefetch refs ahead.
+ */
+class InstrRefWalk
+{
+  public:
+    InstrRefWalk(const ResolvedTraceSoA& soa, int cpu)
+        : addrs_(soa.addr.data()), sizes_(soa.bytes.data()),
+          owners_(soa.owner.data())
+    {
+        const auto [begin, end] = soa.cpuRange(cpu);
+        i_ = begin;
+        end_ = end;
+    }
+
+    /** Load the next instruction ref into `r`; false at the end. */
+    bool
+    next(InstrRef& r)
+    {
+        for (; i_ < end_; ++i_) {
+            // Prefetching one address pulls its whole cache line of
+            // packed 8-byte entries.
+            if (i_ + kRefPrefetch < end_) {
+                __builtin_prefetch(addrs_ + i_ + kRefPrefetch);
+                __builtin_prefetch(sizes_ + i_ + kRefPrefetch);
+            }
+            if (owners_[i_] == static_cast<std::uint8_t>(mem::Owner::Data))
+                continue;
+            r.addr = addrs_[i_];
+            r.last_byte = r.addr + sizes_[i_] - 1;
+            r.owner = owners_[i_];
+            r.ahead = addrs_[i_ + kTagPrefetch < end_ ? i_ + kTagPrefetch
+                                                     : i_];
+            ++i_;
+            return true;
+        }
+        return false;
+    }
+
+  private:
+    const std::uint64_t* addrs_;
+    const std::uint32_t* sizes_;
+    const std::uint8_t* owners_;
+    std::size_t i_ = 0;
+    std::size_t end_ = 0;
+};
+
+/** A cache config's line size, once its geometry checks out. */
+inline std::uint32_t
+checkedLineBytes(const mem::CacheConfig& c)
+{
+    const std::string err = c.check();
+    SPIKESIM_ASSERT(err.empty(), "bad cache config: " << err);
+    return c.line_bytes;
+}
+
+/**
+ * Group configs [k0, k1) by the power-of-two size bytes(config) (line
+ * size, or an iTLB spec's fetch granularity): each group's `shift` is
+ * that size's log2, groups keep first-appearance order, and
+ * add(group, config, slot) files each config under its chunk-relative
+ * slot k - k0.
+ */
+template <typename Group, typename Config, typename Bytes, typename Add>
+inline std::vector<Group>
+groupBySize(const Config* configs, std::size_t k0, std::size_t k1,
+            Bytes&& bytes, Add&& add)
+{
+    std::vector<Group> groups;
+    for (std::size_t k = k0; k < k1; ++k) {
+        const auto shift = static_cast<std::uint32_t>(
+            std::bit_width(bytes(configs[k])) - 1);
+        Group* g = nullptr;
+        for (Group& cand : groups)
+            if (cand.shift == shift)
+                g = &cand;
+        if (g == nullptr) {
+            g = &groups.emplace_back();
+            g->shift = shift;
+        }
+        add(*g, configs[k], k - k0);
+    }
+    return groups;
+}
+
+/** The lines of one ref that need a probe: [first, last], empty when
+ *  first > last. */
+struct LineSpan
+{
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+};
+
+/** One group's line-step cursor: the access count and the repeat-line
+ *  skip every line-granular family shares. */
+struct LineCursor
+{
+    std::uint32_t shift = 0; ///< log2 of the line (fetch) size
+    std::uint64_t line_steps = 0;
+    std::uint64_t last_line = kInvalidTag;
+
+    /** Count every line of [addr, last_byte] as one access and return
+     *  the lines to probe: all of them, minus a first line that repeats
+     *  the previous ref's last line (lines only grow within a ref, so no
+     *  later line can repeat). */
+    LineSpan
+    step(std::uint64_t addr, std::uint64_t last_byte)
+    {
+        const std::uint64_t first = addr >> shift;
+        const std::uint64_t last = last_byte >> shift;
+        line_steps += last - first + 1;
+        const LineSpan span{first + (first == last_line ? 1 : 0), last};
+        last_line = last;
+        return span;
+    }
+};
 
 /** One direct-mapped configuration of a line-size group. */
 struct DmMember
@@ -75,28 +229,129 @@ struct AssocMember
     std::size_t slot = 0;
     std::uint32_t assoc = 0;
     std::uint64_t set_mask = 0;
-    std::size_t base = 0; ///< start in am_tags/am_ages/am_owners
+    std::size_t base = 0; ///< start in am_tags/am_ages (and owners)
 };
 
-/** All configurations sharing one line size, plus their cache state. */
-struct LineGroup
+/** The tag tables of one line-size group: concatenated direct-mapped
+ *  tables, and age-permutation sets for the associative members. */
+struct TagTables
 {
-    std::uint32_t line = 0;
-    std::uint32_t shift = 0;
-
     std::vector<DmMember> dm;
     std::size_t dm_min = 0; ///< member with the fewest sets
     std::size_t dm_big = 0; ///< member with the most sets (prefetch)
     std::vector<std::uint64_t> dm_tags;
-    std::vector<std::uint8_t> dm_owners;
 
     std::vector<AssocMember> am;
     std::vector<std::uint64_t> am_tags;
     std::vector<std::uint64_t> am_ages;
-    std::vector<std::uint8_t> am_owners;
 
-    std::uint64_t accesses = 0;
-    std::uint64_t last_line = kInvalidTag;
+    /** File config `c` under chunk slot `slot`; true when it is
+     *  direct-mapped. */
+    bool
+    addMember(const mem::CacheConfig& c, std::size_t slot)
+    {
+        const std::uint32_t sets = c.numSets();
+        if (c.assoc == 1) {
+            DmMember d;
+            d.mask = sets - 1;
+            d.sets = sets;
+            d.slot = slot;
+            dm.push_back(d);
+            return true;
+        }
+        AssocMember a;
+        a.slot = slot;
+        a.assoc = c.assoc;
+        a.set_mask = sets - 1;
+        am.push_back(a);
+        return false;
+    }
+
+    /** Lay out and reset the tables once every member is added. */
+    void
+    layoutTables()
+    {
+        std::uint64_t off = 0;
+        for (std::size_t j = 0; j < dm.size(); ++j) {
+            DmMember& d = dm[j];
+            d.offset = off;
+            off += d.sets;
+            if (d.sets < dm[dm_min].sets)
+                dm_min = j;
+            if (d.sets > dm[dm_big].sets)
+                dm_big = j;
+        }
+        dm_tags.assign(off, kInvalidTag);
+
+        std::size_t am_off = 0;
+        for (AssocMember& a : am) {
+            a.base = am_off;
+            am_off += static_cast<std::size_t>(a.set_mask + 1) * a.assoc;
+        }
+        am_tags.assign(am_off, kInvalidTag);
+        am_ages.resize(am_off);
+        for (const AssocMember& a : am)
+            for (std::size_t s = 0; s <= a.set_mask; ++s)
+                for (std::uint32_t w = 0; w < a.assoc; ++w)
+                    am_ages[a.base + s * a.assoc + w] = w;
+    }
+
+    /** The inclusive check (needs a DM member): the fewest-set table
+     *  holds `ln`, so every DM table does. */
+    bool
+    dmHit(std::uint64_t ln) const
+    {
+        const DmMember& mn = dm[dm_min];
+        return dm_tags[mn.offset + (ln & mn.mask)] == ln;
+    }
+
+    /** Index of the first way of `ln`'s set in member `a`. */
+    static std::size_t
+    amSet(const AssocMember& a, std::uint64_t ln)
+    {
+        return a.base + (ln & a.set_mask) * a.assoc;
+    }
+};
+
+/** Stats-only set-associative probe (no owner tags): true on hit,
+ *  fills the LRU victim on miss. Same age-permutation scheme as
+ *  ScalarProbe::amProbe. `tags`/`ages` point at the set; the age type
+ *  only needs to hold assoc - 1. */
+struct ScalarStatsProbe
+{
+    template <class Age>
+    static bool
+    amAccess(std::uint64_t* tags, Age* ages, std::uint32_t assoc,
+             std::uint64_t ln)
+    {
+        std::uint32_t hit = assoc;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            hit = tags[w] == ln ? w : hit;
+        if (hit < assoc) {
+            const Age h = ages[hit];
+            for (std::uint32_t w = 0; w < assoc; ++w)
+                ages[w] += static_cast<Age>(ages[w] < h);
+            ages[hit] = 0;
+            return true;
+        }
+        const Age lru = static_cast<Age>(assoc - 1);
+        std::uint32_t v = 0;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            v = ages[w] == lru ? w : v;
+        tags[v] = ln;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            ages[w] += static_cast<Age>(ages[w] < lru);
+        ages[v] = 0;
+        return false;
+    }
+};
+
+/** All i-cache configurations sharing one line size, plus their cache
+ *  state and victim-owner bytes. */
+struct LineGroup : LineCursor, TagTables
+{
+    std::vector<std::uint8_t> dm_owners;
+    std::vector<std::uint8_t> am_owners;
 };
 
 struct IcacheState
@@ -112,62 +367,15 @@ buildIcacheState(const mem::CacheConfig* configs, std::size_t k0,
 {
     IcacheState st;
     st.intf.assign(k1 - k0, {});
-    for (std::size_t k = k0; k < k1; ++k) {
-        const mem::CacheConfig& c = configs[k];
-        const std::string err = c.check();
-        SPIKESIM_ASSERT(err.empty(), "bad cache config: " << err);
-        LineGroup* g = nullptr;
-        for (LineGroup& cand : st.groups)
-            if (cand.line == c.line_bytes)
-                g = &cand;
-        if (g == nullptr) {
-            st.groups.emplace_back();
-            g = &st.groups.back();
-            g->line = c.line_bytes;
-            g->shift = static_cast<std::uint32_t>(
-                std::bit_width(c.line_bytes) - 1);
-        }
-        const std::uint32_t sets = c.numSets();
-        if (c.assoc == 1) {
-            DmMember d;
-            d.mask = sets - 1;
-            d.sets = sets;
-            d.slot = k - k0;
-            g->dm.push_back(d);
-        } else {
-            AssocMember a;
-            a.slot = k - k0;
-            a.assoc = c.assoc;
-            a.set_mask = sets - 1;
-            g->am.push_back(a);
-        }
-    }
+    st.groups = groupBySize<LineGroup>(
+        configs, k0, k1, checkedLineBytes,
+        [](LineGroup& g, const mem::CacheConfig& c, std::size_t slot) {
+            g.addMember(c, slot);
+        });
     for (LineGroup& g : st.groups) {
-        std::uint64_t off = 0;
-        for (std::size_t j = 0; j < g.dm.size(); ++j) {
-            DmMember& d = g.dm[j];
-            d.offset = off;
-            off += d.sets;
-            if (d.sets < g.dm[g.dm_min].sets)
-                g.dm_min = j;
-            if (d.sets > g.dm[g.dm_big].sets)
-                g.dm_big = j;
-        }
-        g.dm_tags.assign(off, kInvalidTag);
-        g.dm_owners.assign(off, kOwnerCold);
-
-        std::size_t am_off = 0;
-        for (AssocMember& a : g.am) {
-            a.base = am_off;
-            am_off += static_cast<std::size_t>(a.set_mask + 1) * a.assoc;
-        }
-        g.am_tags.assign(am_off, kInvalidTag);
-        g.am_owners.assign(am_off, kOwnerCold);
-        g.am_ages.resize(am_off);
-        for (const AssocMember& a : g.am)
-            for (std::size_t s = 0; s <= a.set_mask; ++s)
-                for (std::uint32_t w = 0; w < a.assoc; ++w)
-                    g.am_ages[a.base + s * a.assoc + w] = w;
+        g.layoutTables();
+        g.dm_owners.assign(g.dm_tags.size(), kOwnerCold);
+        g.am_owners.assign(g.am_tags.size(), kOwnerCold);
     }
     return st;
 }
@@ -181,7 +389,7 @@ foldIcacheState(const IcacheState& st, const IcacheShard& sh)
         const auto fold = [&](std::size_t slot) {
             ICacheReplayResult& r = sh.out[slot];
             const std::array<std::uint64_t, 6>& c = st.intf[slot];
-            r.accesses = g.accesses;
+            r.accesses = g.line_steps;
             for (int mm = 0; mm < 2; ++mm)
                 for (int v = 0; v < 3; ++v)
                     r.interference.counts[mm][v] = c[mm * 3 + v];
@@ -197,7 +405,7 @@ foldIcacheState(const IcacheState& st, const IcacheShard& sh)
 }
 
 /** Branch-lean reference probes; also the tail/odd-assoc fallback of
- *  the AVX2 traits. */
+ *  the AVX2 walk. */
 struct ScalarProbe
 {
     /** Probe every direct-mapped member (the inclusive check already
@@ -218,16 +426,20 @@ struct ScalarProbe
         }
     }
 
-    /** Probe one set-associative member with age-permutation LRU. */
+    /** Probe one set-associative member with age-permutation LRU: the
+     *  arithmetic of ScalarStatsProbe::amAccess plus the victim-owner
+     *  bookkeeping, written out because layering it on amAccess (by a
+     *  returned victim way or a miss callback) cost 14-22% on the
+     *  scalar 4-way i-cache column. */
     static void
     amProbe(LineGroup& g, const AssocMember& a, std::uint64_t ln,
             unsigned m, std::array<std::uint64_t, 6>* intf)
     {
         const std::uint32_t assoc = a.assoc;
-        const std::size_t set = ln & a.set_mask;
-        std::uint64_t* tags = g.am_tags.data() + a.base + set * assoc;
-        std::uint64_t* ages = g.am_ages.data() + a.base + set * assoc;
-        std::uint8_t* own = g.am_owners.data() + a.base + set * assoc;
+        const std::size_t set = TagTables::amSet(a, ln);
+        std::uint64_t* tags = g.am_tags.data() + set;
+        std::uint64_t* ages = g.am_ages.data() + set;
+        std::uint8_t* own = g.am_owners.data() + set;
 
         std::uint32_t hit = assoc;
         for (std::uint32_t w = 0; w < assoc; ++w)
@@ -254,68 +466,35 @@ struct ScalarProbe
     }
 };
 
-/** How many refs ahead the column prefetches run. */
-inline constexpr std::size_t kRefPrefetch = 24;
-/** Lead (in refs) for the tag-line prefetch of the biggest DM table. */
-inline constexpr std::size_t kTagPrefetch = 4;
-
 inline void
 runIcacheShardImpl(const IcacheShard& sh)
 {
-    const ResolvedTraceSoA& soa = *sh.soa;
     IcacheState st = buildIcacheState(sh.configs, sh.k0, sh.k1);
-    const auto [begin, end] = soa.cpuRange(sh.cpu);
-    const std::uint64_t* addrs = soa.addr.data();
-    const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
-
-    for (std::size_t i = begin; i < end; ++i) {
-        // Stream the upcoming ref columns; prefetching one address
-        // pulls its whole cache line of packed 8-byte entries.
-        if (i + kRefPrefetch < end) {
-            __builtin_prefetch(addrs + i + kRefPrefetch);
-            __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        if (owners[i] ==
-            static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
+    std::array<std::uint64_t, 6>* intf = st.intf.data();
+    InstrRefWalk refs(*sh.soa, sh.cpu);
+    for (InstrRef r; refs.next(r);) {
         const unsigned m =
-            owners[i] == static_cast<std::uint8_t>(mem::Owner::App)
-                ? 0u
-                : 1u;
-        const std::uint64_t addr = addrs[i];
-        const std::uint64_t last_byte = addr + sizes[i] - 1;
-        // Cover the probe latency of the biggest (least cache-resident)
-        // direct-mapped table with a short-lead slot prefetch.
-        const std::uint64_t next_addr =
-            addrs[i + kTagPrefetch < end ? i + kTagPrefetch : i];
+            r.owner == static_cast<std::uint8_t>(mem::Owner::App) ? 0u
+                                                                   : 1u;
         for (LineGroup& g : st.groups) {
+            // Cover the probe latency of the biggest (least
+            // cache-resident) direct-mapped table with a short-lead
+            // slot prefetch.
             if (!g.dm.empty()) {
                 const DmMember& big = g.dm[g.dm_big];
                 __builtin_prefetch(
                     &g.dm_tags[big.offset +
-                               ((next_addr >> g.shift) & big.mask)]);
+                               ((r.ahead >> g.shift) & big.mask)]);
             }
-            std::uint64_t ln = addr >> g.shift;
-            const std::uint64_t ln_end = last_byte >> g.shift;
-            g.accesses += ln_end - ln + 1;
-            std::uint64_t last = g.last_line;
-            for (; ln <= ln_end; ++ln) {
-                if (ln == last)
-                    continue;
-                last = ln;
-                if (!g.dm.empty()) {
-                    const DmMember& mn = g.dm[g.dm_min];
-                    if (g.dm_tags[mn.offset + (ln & mn.mask)] != ln)
-                        ScalarProbe::dmSlow(g, ln, m, st.intf.data());
-                }
+            const LineSpan span = g.step(r.addr, r.last_byte);
+            for (std::uint64_t ln = span.first; ln <= span.last; ++ln) {
+                if (!g.dm.empty() && !g.dmHit(ln))
+                    ScalarProbe::dmSlow(g, ln, m, intf);
                 for (const AssocMember& a : g.am)
-                    ScalarProbe::amProbe(g, a, ln, m, st.intf.data());
+                    ScalarProbe::amProbe(g, a, ln, m, intf);
             }
-            g.last_line = last;
         }
     }
-
     foldIcacheState(st, sh);
 }
 
@@ -498,39 +677,6 @@ class FlatFaLru
     std::vector<std::uint32_t> bucket_;
 };
 
-/** Stats-only set-associative probe (no owner tags): true on hit,
- *  fills the LRU victim on miss. Same age-permutation scheme as
- *  ScalarProbe::amProbe. `tags`/`ages` point at the set; the age type
- *  only needs to hold assoc - 1. */
-struct ScalarStatsProbe
-{
-    template <class Age>
-    static bool
-    amAccess(std::uint64_t* tags, Age* ages, std::uint32_t assoc,
-             std::uint64_t ln)
-    {
-        std::uint32_t hit = assoc;
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            hit = tags[w] == ln ? w : hit;
-        if (hit < assoc) {
-            const Age h = ages[hit];
-            for (std::uint32_t w = 0; w < assoc; ++w)
-                ages[w] += static_cast<Age>(ages[w] < h);
-            ages[hit] = 0;
-            return true;
-        }
-        const Age lru = static_cast<Age>(assoc - 1);
-        std::uint32_t v = 0;
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            v = ages[w] == lru ? w : v;
-        tags[v] = ln;
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            ages[w] += static_cast<Age>(ages[w] < lru);
-        ages[v] = 0;
-        return false;
-    }
-};
-
 // ---------------------------------------------------------------------
 // Three-C classification kernel.
 //
@@ -538,109 +684,46 @@ struct ScalarStatsProbe
 // per line-size group one shared first-touch set, one shared ideal
 // FA-LRU per *distinct capacity* (ideal caches of equal capacity see
 // the identical line-step sequence, so their state is identical and
-// can be deduplicated), and the same DM/assoc real-cache machinery as
-// the i-cache kernel minus owner tags. Per non-repeat line-step the
-// walk reads `seen` (before setting it), accesses every ideal LRU, and
-// classifies each member's real miss as compulsory (!seen), capacity
-// (!ideal_hit) or conflict — the oracle's exact decision tree. The
-// repeat-line fast path is valid for the same reason as the i-cache
-// kernel: a repeated line is MRU everywhere (real sets, ideal LRU) and
-// already touched, so only the access counter moves.
+// can be deduplicated), and the i-cache kernel's TagTables minus owner
+// tags. Per non-repeat line-step the walk reads `seen` (before setting
+// it), accesses every ideal LRU, and classifies each member's real
+// miss as compulsory (!seen), capacity (!ideal_hit) or conflict — the
+// oracle's exact decision tree. A repeat line is also the ideal LRUs'
+// MRU entry and already touched, so the shared skip stays exact.
 // ---------------------------------------------------------------------
 
 /** All three-C configurations sharing one line size, plus state. */
-struct ThreeCGroup
+struct ThreeCGroup : LineCursor, TagTables
 {
-    std::uint32_t line = 0;
-    std::uint32_t shift = 0;
-
-    std::vector<DmMember> dm;
-    std::size_t dm_min = 0;
-    std::vector<std::uint64_t> dm_tags;
     std::vector<std::uint32_t> dm_cap; ///< per dm member: ideal index
-
-    std::vector<AssocMember> am;
-    std::vector<std::uint64_t> am_tags;
-    std::vector<std::uint64_t> am_ages;
     std::vector<std::uint32_t> am_cap; ///< per am member: ideal index
 
     std::vector<FlatFaLru> ideal;      ///< one per distinct capacity
     std::vector<std::uint32_t> ideal_lines; ///< capacities (in lines)
     std::vector<std::uint8_t> ideal_hit;    ///< per-line-step scratch
     FlatLineSet touched;
-
-    std::uint64_t line_steps = 0;
-    std::uint64_t last_line = kInvalidTag;
 };
 
 inline std::vector<ThreeCGroup>
 buildThreeCGroups(const mem::CacheConfig* configs, std::size_t k0,
                   std::size_t k1)
 {
-    std::vector<ThreeCGroup> groups;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const mem::CacheConfig& c = configs[k];
-        const std::string err = c.check();
-        SPIKESIM_ASSERT(err.empty(), "bad cache config: " << err);
-        ThreeCGroup* g = nullptr;
-        for (ThreeCGroup& cand : groups)
-            if (cand.line == c.line_bytes)
-                g = &cand;
-        if (g == nullptr) {
-            groups.emplace_back();
-            g = &groups.back();
-            g->line = c.line_bytes;
-            g->shift = static_cast<std::uint32_t>(
-                std::bit_width(c.line_bytes) - 1);
-        }
-        const std::uint32_t lines = c.numLines();
-        std::uint32_t ci = static_cast<std::uint32_t>(g->ideal_lines.size());
-        for (std::uint32_t j = 0; j < g->ideal_lines.size(); ++j)
-            if (g->ideal_lines[j] == lines)
-                ci = j;
-        if (ci == g->ideal_lines.size()) {
-            g->ideal_lines.push_back(lines);
-            g->ideal.emplace_back(lines);
-        }
-        const std::uint32_t sets = c.numSets();
-        if (c.assoc == 1) {
-            DmMember d;
-            d.mask = sets - 1;
-            d.sets = sets;
-            d.slot = k - k0;
-            g->dm.push_back(d);
-            g->dm_cap.push_back(ci);
-        } else {
-            AssocMember a;
-            a.slot = k - k0;
-            a.assoc = c.assoc;
-            a.set_mask = sets - 1;
-            g->am.push_back(a);
-            g->am_cap.push_back(ci);
-        }
-    }
+    std::vector<ThreeCGroup> groups = groupBySize<ThreeCGroup>(
+        configs, k0, k1, checkedLineBytes,
+        [](ThreeCGroup& g, const mem::CacheConfig& c, std::size_t slot) {
+            const std::uint32_t lines = c.numLines();
+            auto ci = static_cast<std::uint32_t>(g.ideal_lines.size());
+            for (std::uint32_t j = 0; j < g.ideal_lines.size(); ++j)
+                if (g.ideal_lines[j] == lines)
+                    ci = j;
+            if (ci == g.ideal_lines.size()) {
+                g.ideal_lines.push_back(lines);
+                g.ideal.emplace_back(lines);
+            }
+            (g.addMember(c, slot) ? g.dm_cap : g.am_cap).push_back(ci);
+        });
     for (ThreeCGroup& g : groups) {
-        std::uint64_t off = 0;
-        for (std::size_t j = 0; j < g.dm.size(); ++j) {
-            DmMember& d = g.dm[j];
-            d.offset = off;
-            off += d.sets;
-            if (d.sets < g.dm[g.dm_min].sets)
-                g.dm_min = j;
-        }
-        g.dm_tags.assign(off, kInvalidTag);
-
-        std::size_t am_off = 0;
-        for (AssocMember& a : g.am) {
-            a.base = am_off;
-            am_off += static_cast<std::size_t>(a.set_mask + 1) * a.assoc;
-        }
-        g.am_tags.assign(am_off, kInvalidTag);
-        g.am_ages.resize(am_off);
-        for (const AssocMember& a : g.am)
-            for (std::size_t s = 0; s <= a.set_mask; ++s)
-                for (std::uint32_t w = 0; w < a.assoc; ++w)
-                    g.am_ages[a.base + s * a.assoc + w] = w;
+        g.layoutTables();
         g.ideal_hit.assign(g.ideal.size(), 0);
     }
     return groups;
@@ -659,71 +742,43 @@ classifyThreeC(std::uint64_t* c, bool seen, bool ideal_hit)
 }
 
 inline void
-runThreeCShardImpl(const ThreeCShard& sh)
+runThreeCShardImpl(const Shard<mem::CacheConfig, mem::ThreeCStats>& sh)
 {
-    const ResolvedTraceSoA& soa = *sh.soa;
     std::vector<ThreeCGroup> groups =
         buildThreeCGroups(sh.configs, sh.k0, sh.k1);
     // Per config slot: [compulsory, capacity, conflict].
-    std::vector<std::array<std::uint64_t, 3>> cls(sh.k1 - sh.k0, std::array<std::uint64_t, 3>{});
+    std::vector<std::array<std::uint64_t, 3>> cls(sh.k1 - sh.k0);
 
-    const auto [begin, end] = soa.cpuRange(sh.cpu);
-    const std::uint64_t* addrs = soa.addr.data();
-    const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
-
-    for (std::size_t i = begin; i < end; ++i) {
-        if (i + kRefPrefetch < end) {
-            __builtin_prefetch(addrs + i + kRefPrefetch);
-            __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
-        const std::uint64_t addr = addrs[i];
-        const std::uint64_t last_byte = addr + sizes[i] - 1;
+    InstrRefWalk refs(*sh.soa, sh.cpu);
+    for (InstrRef r; refs.next(r);) {
         for (ThreeCGroup& g : groups) {
-            std::uint64_t ln = addr >> g.shift;
-            const std::uint64_t ln_end = last_byte >> g.shift;
-            g.line_steps += ln_end - ln + 1;
-            std::uint64_t last = g.last_line;
-            for (; ln <= ln_end; ++ln) {
-                if (ln == last)
-                    continue;
-                last = ln;
+            const LineSpan span = g.step(r.addr, r.last_byte);
+            for (std::uint64_t ln = span.first; ln <= span.last; ++ln) {
                 const bool seen = g.touched.testAndSet(ln);
                 for (std::size_t ci = 0; ci < g.ideal.size(); ++ci)
                     g.ideal_hit[ci] =
                         static_cast<std::uint8_t>(g.ideal[ci].access(ln));
-                if (!g.dm.empty()) {
-                    const DmMember& mn = g.dm[g.dm_min];
-                    if (g.dm_tags[mn.offset + (ln & mn.mask)] != ln) {
-                        for (std::size_t j = 0; j < g.dm.size(); ++j) {
-                            const DmMember& d = g.dm[j];
-                            const std::uint64_t idx =
-                                d.offset + (ln & d.mask);
-                            if (g.dm_tags[idx] != ln) {
-                                g.dm_tags[idx] = ln;
-                                classifyThreeC(
-                                    cls[d.slot].data(), seen,
-                                    g.ideal_hit[g.dm_cap[j]] != 0);
-                            }
+                if (!g.dm.empty() && !g.dmHit(ln)) {
+                    for (std::size_t j = 0; j < g.dm.size(); ++j) {
+                        const DmMember& d = g.dm[j];
+                        const std::uint64_t idx = d.offset + (ln & d.mask);
+                        if (g.dm_tags[idx] != ln) {
+                            g.dm_tags[idx] = ln;
+                            classifyThreeC(cls[d.slot].data(), seen,
+                                           g.ideal_hit[g.dm_cap[j]] != 0);
                         }
                     }
                 }
                 for (std::size_t j = 0; j < g.am.size(); ++j) {
                     const AssocMember& a = g.am[j];
-                    const std::size_t set = ln & a.set_mask;
-                    std::uint64_t* tags =
-                        g.am_tags.data() + a.base + set * a.assoc;
-                    std::uint64_t* ages =
-                        g.am_ages.data() + a.base + set * a.assoc;
-                    if (!ScalarStatsProbe::amAccess(tags, ages, a.assoc,
-                                                    ln))
+                    const std::size_t set = TagTables::amSet(a, ln);
+                    if (!ScalarStatsProbe::amAccess(g.am_tags.data() + set,
+                                                    g.am_ages.data() + set,
+                                                    a.assoc, ln))
                         classifyThreeC(cls[a.slot].data(), seen,
                                        g.ideal_hit[g.am_cap[j]] != 0);
                 }
             }
-            g.last_line = last;
         }
     }
 
@@ -754,10 +809,7 @@ runThreeCShardImpl(const ThreeCShard& sh)
 // resident set after every access therefore equals FlatFaLru's, and so
 // do the hit/miss counts (which slot holds an entry never matters).
 // The one-entry last-page filter is a pure MRU no-op, mirrored here so
-// the FA-LRU is only consulted on page changes. Specs are grouped by
-// fetch granularity (their line-step walks differ); there is no
-// vector-profitable arithmetic, so one scalar implementation serves
-// every KernelKind.
+// the FA-LRU is only consulted on page changes.
 // ---------------------------------------------------------------------
 
 /** One iTLB spec within a fetch-granularity group. */
@@ -788,13 +840,9 @@ struct ITlbMember
 };
 
 /** All iTLB specs sharing one fetch granularity. */
-struct ITlbGroup
+struct ITlbGroup : LineCursor
 {
-    std::uint32_t fetch = 0;
-    std::uint32_t shift = 0;
     std::vector<ITlbMember> members;
-    std::uint64_t line_steps = 0;
-    std::uint64_t last_line = kInvalidTag;
 
     /** Fetch the byte range [addr, last_byte]: one lookup per line
      *  step, except that a repeat of the last fetched line is the MRU
@@ -802,18 +850,10 @@ struct ITlbGroup
     void
     walk(std::uint64_t addr, std::uint64_t last_byte)
     {
-        std::uint64_t ln = addr >> shift;
-        const std::uint64_t ln_end = last_byte >> shift;
-        line_steps += ln_end - ln + 1;
-        std::uint64_t last = last_line;
-        for (; ln <= ln_end; ++ln) {
-            if (ln == last)
-                continue;
-            last = ln;
+        const LineSpan span = step(addr, last_byte);
+        for (std::uint64_t ln = span.first; ln <= span.last; ++ln)
             for (ITlbMember& m : members)
                 m.translate(ln << shift);
-        }
-        last_line = last;
     }
 };
 
@@ -822,9 +862,7 @@ struct ITlbGroup
 inline std::vector<ITlbGroup>
 buildITlbGroups(const ITlbSpec* specs, std::size_t k0, std::size_t k1)
 {
-    std::vector<ITlbGroup> groups;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const ITlbSpec& spec = specs[k];
+    const auto fetch_bytes = [](const ITlbSpec& spec) {
         SPIKESIM_ASSERT(spec.fetch_bytes > 0 &&
                             (spec.fetch_bytes &
                              (spec.fetch_bytes - 1)) == 0,
@@ -833,24 +871,17 @@ buildITlbGroups(const ITlbSpec* specs, std::size_t k0, std::size_t k1)
                             (spec.page_bytes & (spec.page_bytes - 1)) ==
                                 0,
                         "page size must be a power of two");
-        ITlbGroup* g = nullptr;
-        for (ITlbGroup& cand : groups)
-            if (cand.fetch == spec.fetch_bytes)
-                g = &cand;
-        if (g == nullptr) {
-            groups.emplace_back();
-            g = &groups.back();
-            g->fetch = spec.fetch_bytes;
-            g->shift = static_cast<std::uint32_t>(
-                std::bit_width(spec.fetch_bytes) - 1);
-        }
-        g->members.emplace_back(
-            k - k0,
-            static_cast<std::uint32_t>(
-                std::bit_width(spec.page_bytes) - 1),
-            spec.entries);
-    }
-    return groups;
+        return spec.fetch_bytes;
+    };
+    return groupBySize<ITlbGroup>(
+        specs, k0, k1, fetch_bytes,
+        [](ITlbGroup& g, const ITlbSpec& spec, std::size_t slot) {
+            g.members.emplace_back(
+                slot,
+                static_cast<std::uint32_t>(
+                    std::bit_width(spec.page_bytes) - 1),
+                spec.entries);
+        });
 }
 
 /** Write every member's result into out[slot] (overwriting). */
@@ -868,29 +899,13 @@ foldITlbGroups(const std::vector<ITlbGroup>& groups, ITlbReplayResult* out)
 }
 
 inline void
-runITlbShardImpl(const ITlbShard& sh)
+runITlbShardImpl(const Shard<ITlbSpec, ITlbReplayResult>& sh)
 {
-    const ResolvedTraceSoA& soa = *sh.soa;
-    std::vector<ITlbGroup> groups = buildITlbGroups(sh.specs, sh.k0, sh.k1);
-
-    const auto [begin, end] = soa.cpuRange(sh.cpu);
-    const std::uint64_t* addrs = soa.addr.data();
-    const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
-
-    for (std::size_t i = begin; i < end; ++i) {
-        if (i + kRefPrefetch < end) {
-            __builtin_prefetch(addrs + i + kRefPrefetch);
-            __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
-        const std::uint64_t addr = addrs[i];
-        const std::uint64_t last_byte = addr + sizes[i] - 1;
+    std::vector<ITlbGroup> groups = buildITlbGroups(sh.configs, sh.k0, sh.k1);
+    InstrRefWalk refs(*sh.soa, sh.cpu);
+    for (InstrRef r; refs.next(r);)
         for (ITlbGroup& g : groups)
-            g.walk(addr, last_byte);
-    }
-
+            g.walk(r.addr, r.last_byte);
     foldITlbGroups(groups, sh.out);
 }
 
@@ -906,11 +921,24 @@ runITlbShardImpl(const ITlbShard& sh)
 // so touching the entry directly reproduces every counter, stamp and
 // histogram update bit for bit. A one-entry MRU filter (last line +
 // entry, re-validated against the tag) short-circuits the common
-// sequential-fetch probe. Per-word histogram updates carry serial
-// dependences (timestamps, saturating counters), so there is no
-// profitable vector form and one scalar implementation serves every
-// KernelKind.
+// sequential-fetch probe.
 // ---------------------------------------------------------------------
+
+/**
+ * Per-config output of one instrumented-replay shard cell. Histograms
+ * are default-sized like sim::WordStats; the kernel replaces them with
+ * correctly-sized ones for the config's line geometry.
+ */
+struct InstrShardOut
+{
+    support::Histogram words_used{65};
+    support::Histogram word_reuse{16};
+    support::Log2Histogram lifetimes{32};
+    std::uint64_t misses = 0;
+    /** Lines retired (= word_reuse sample count / words-per-line). */
+    std::uint64_t samples = 0;
+    double unused_word_fraction = 0.0;
+};
 
 /** One instrumented configuration within a line-size group. */
 struct InstrMember
@@ -957,7 +985,6 @@ struct InstrMember
 /** All instrumented configurations sharing one line size. */
 struct InstrGroup
 {
-    std::uint32_t line = 0;
     std::uint32_t shift = 0;
     std::uint32_t wpl = 0; ///< words per line
     std::vector<InstrMember> members;
@@ -1057,49 +1084,26 @@ instrSpan(InstrMember& m, std::uint32_t wpl, std::uint64_t line,
 }
 
 inline void
-runInstrShardImpl(const InstrShard& sh)
+runInstrShardImpl(const Shard<mem::CacheConfig, InstrShardOut>& sh,
+                  bool flush_at_end)
 {
-    const ResolvedTraceSoA& soa = *sh.soa;
-    std::vector<InstrGroup> groups;
-    for (std::size_t k = sh.k0; k < sh.k1; ++k) {
-        const mem::CacheConfig& cfg = sh.configs[k];
-        const std::string err = cfg.check();
-        SPIKESIM_ASSERT(err.empty(), "bad cache config: " << err);
-        SPIKESIM_ASSERT(cfg.line_bytes / 4 <= 64,
-                        "line too wide for 64-bit word masks");
-        InstrGroup* g = nullptr;
-        for (InstrGroup& cand : groups)
-            if (cand.line == cfg.line_bytes)
-                g = &cand;
-        if (g == nullptr) {
-            groups.emplace_back();
-            g = &groups.back();
-            g->line = cfg.line_bytes;
-            g->shift = static_cast<std::uint32_t>(
-                std::bit_width(cfg.line_bytes) - 1);
-            g->wpl = cfg.line_bytes / 4;
-        }
-        g->members.emplace_back(k - sh.k0, cfg, g->wpl);
-    }
+    std::vector<InstrGroup> groups = groupBySize<InstrGroup>(
+        sh.configs, sh.k0, sh.k1, checkedLineBytes,
+        [](InstrGroup& g, const mem::CacheConfig& c, std::size_t slot) {
+            SPIKESIM_ASSERT(c.line_bytes / 4 <= 64,
+                            "line too wide for 64-bit word masks");
+            g.wpl = c.line_bytes / 4;
+            g.members.emplace_back(slot, c, g.wpl);
+        });
 
-    const auto [begin, end] = soa.cpuRange(sh.cpu);
-    const std::uint64_t* addrs = soa.addr.data();
-    const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
-
-    for (std::size_t i = begin; i < end; ++i) {
-        if (i + kRefPrefetch < end) {
-            __builtin_prefetch(addrs + i + kRefPrefetch);
-            __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
-        const std::uint64_t addr = addrs[i];
-        const std::uint32_t words = sizes[i] / 4;
+    InstrRefWalk refs(*sh.soa, sh.cpu);
+    for (InstrRef r; refs.next(r);) {
+        const auto words =
+            static_cast<std::uint32_t>((r.last_byte - r.addr + 1) / 4);
         for (InstrGroup& g : groups) {
             std::uint32_t w = 0;
             while (w < words) {
-                const std::uint64_t wa = addr + 4ULL * w;
+                const std::uint64_t wa = r.addr + 4ULL * w;
                 const std::uint64_t line = wa >> g.shift;
                 const std::uint64_t next = (line + 1) << g.shift;
                 // Words at wa, wa+4, ... stay on `line` while below
@@ -1118,7 +1122,7 @@ runInstrShardImpl(const InstrShard& sh)
 
     for (InstrGroup& g : groups) {
         for (InstrMember& m : g.members) {
-            if (sh.flush_at_end)
+            if (flush_at_end)
                 for (std::size_t e = 0; e < m.valid.size(); ++e)
                     instrRetire(m, g.wpl, e);
             InstrShardOut& o = sh.out[m.slot];
@@ -1169,15 +1173,11 @@ struct StreamBufMember
 };
 
 /** All stream-buffer configurations sharing one line size. */
-struct StreamBufGroup
+struct StreamBufGroup : LineCursor
 {
-    std::uint32_t line = 0;
-    std::uint32_t shift = 0;
     std::vector<StreamBufMember> members;
     std::vector<std::uint64_t> tags;
     std::vector<std::uint64_t> ages;
-    std::uint64_t line_steps = 0;
-    std::uint64_t last_line = kInvalidTag;
 };
 
 inline std::vector<StreamBufGroup>
@@ -1185,31 +1185,20 @@ buildStreamBufGroups(const mem::CacheConfig* configs, std::size_t k0,
                      std::size_t k1, int num_buffers)
 {
     SPIKESIM_ASSERT(num_buffers > 0, "need at least one stream buffer");
-    std::vector<StreamBufGroup> groups;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const mem::CacheConfig& c = configs[k];
-        const std::string err = c.check();
-        SPIKESIM_ASSERT(err.empty(), "bad cache config: " << err);
-        StreamBufGroup* g = nullptr;
-        for (StreamBufGroup& cand : groups)
-            if (cand.line == c.line_bytes)
-                g = &cand;
-        if (g == nullptr) {
-            groups.emplace_back();
-            g = &groups.back();
-            g->line = c.line_bytes;
-            g->shift = static_cast<std::uint32_t>(
-                std::bit_width(c.line_bytes) - 1);
-        }
-        StreamBufMember m;
-        m.slot = k - k0;
-        m.assoc = c.assoc;
-        m.set_mask = c.numSets() - 1;
-        m.buf_next.assign(static_cast<std::size_t>(num_buffers), 0);
-        m.buf_stamp.assign(static_cast<std::size_t>(num_buffers), 0);
-        m.buf_valid.assign(static_cast<std::size_t>(num_buffers), 0);
-        g->members.push_back(std::move(m));
-    }
+    const auto nb = static_cast<std::size_t>(num_buffers);
+    std::vector<StreamBufGroup> groups = groupBySize<StreamBufGroup>(
+        configs, k0, k1, checkedLineBytes,
+        [nb](StreamBufGroup& g, const mem::CacheConfig& c,
+             std::size_t slot) {
+            StreamBufMember m;
+            m.slot = slot;
+            m.assoc = c.assoc;
+            m.set_mask = c.numSets() - 1;
+            m.buf_next.assign(nb, 0);
+            m.buf_stamp.assign(nb, 0);
+            m.buf_valid.assign(nb, 0);
+            g.members.push_back(std::move(m));
+        });
     for (StreamBufGroup& g : groups) {
         std::size_t off = 0;
         for (StreamBufMember& m : g.members) {
@@ -1228,36 +1217,18 @@ buildStreamBufGroups(const mem::CacheConfig* configs, std::size_t k0,
 }
 
 inline void
-runStreamBufShardImpl(const StreamBufShard& sh)
+runStreamBufShardImpl(
+    const Shard<mem::CacheConfig, mem::StreamBufferStats>& sh,
+    int num_buffers)
 {
-    const ResolvedTraceSoA& soa = *sh.soa;
-    std::vector<StreamBufGroup> groups = buildStreamBufGroups(
-        sh.configs, sh.k0, sh.k1, sh.num_buffers);
-    const std::size_t nb = static_cast<std::size_t>(sh.num_buffers);
-
-    const auto [begin, end] = soa.cpuRange(sh.cpu);
-    const std::uint64_t* addrs = soa.addr.data();
-    const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
-
-    for (std::size_t i = begin; i < end; ++i) {
-        if (i + kRefPrefetch < end) {
-            __builtin_prefetch(addrs + i + kRefPrefetch);
-            __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data))
-            continue;
-        const std::uint64_t addr = addrs[i];
-        const std::uint64_t last_byte = addr + sizes[i] - 1;
+    std::vector<StreamBufGroup> groups =
+        buildStreamBufGroups(sh.configs, sh.k0, sh.k1, num_buffers);
+    const auto nb = static_cast<std::size_t>(num_buffers);
+    InstrRefWalk refs(*sh.soa, sh.cpu);
+    for (InstrRef r; refs.next(r);) {
         for (StreamBufGroup& g : groups) {
-            std::uint64_t ln = addr >> g.shift;
-            const std::uint64_t ln_end = last_byte >> g.shift;
-            g.line_steps += ln_end - ln + 1;
-            std::uint64_t last = g.last_line;
-            for (; ln <= ln_end; ++ln) {
-                if (ln == last)
-                    continue;
-                last = ln;
+            const LineSpan span = g.step(r.addr, r.last_byte);
+            for (std::uint64_t ln = span.first; ln <= span.last; ++ln) {
                 for (StreamBufMember& m : g.members) {
                     bool hit;
                     if (m.assoc == 1) {
@@ -1303,7 +1274,6 @@ runStreamBufShardImpl(const StreamBufShard& sh)
                     m.buf_stamp[v] = ++m.ctr;
                 }
             }
-            g.last_line = last;
         }
     }
 
@@ -1500,7 +1470,9 @@ sameL1Geometry(const mem::HierarchyConfig& a,
 }
 
 inline void
-runHierarchyShardImpl(const HierarchyShard& sh)
+runHierarchyShardImpl(
+    const Shard<mem::HierarchyConfig, mem::HierarchyStats>& sh,
+    std::uint64_t& instrs, std::uint64_t& fetch_breaks)
 {
     const ResolvedTraceSoA& soa = *sh.soa;
     std::vector<HierarchyGroup> groups;
@@ -1521,7 +1493,7 @@ runHierarchyShardImpl(const HierarchyShard& sh)
     const std::uint32_t* sizes = soa.bytes.data();
     const std::uint8_t* owners = soa.owner.data();
     std::uint64_t expected = ~0ULL;
-    std::uint64_t instrs = 0;
+    std::uint64_t n_instrs = 0;
     std::uint64_t breaks = 0;
 
     for (std::size_t i = begin; i < end; ++i) {
@@ -1546,7 +1518,7 @@ runHierarchyShardImpl(const HierarchyShard& sh)
             continue;
         }
         const std::uint64_t last_byte = addr + sizes[i] - 1;
-        instrs += sizes[i] / program::kInstrBytes;
+        n_instrs += sizes[i] / program::kInstrBytes;
         if (addr != expected)
             ++breaks;
         expected = last_byte + 1;
@@ -1586,8 +1558,8 @@ runHierarchyShardImpl(const HierarchyShard& sh)
             o.itlb_misses = m.itlb_misses;
         }
     }
-    *sh.instrs = instrs;
-    *sh.fetch_breaks = breaks;
+    instrs = n_instrs;
+    fetch_breaks = breaks;
 }
 
 // ---------------------------------------------------------------------

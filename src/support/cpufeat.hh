@@ -5,8 +5,8 @@
  * @file
  * Runtime CPU feature detection for the SIMD replay kernels. The
  * binary is built without any global -march bump (only the dedicated
- * vector translation unit gets -mavx2), so whether the vector kernels
- * may run is strictly a runtime question answered here.
+ * vector translation unit's own code targets AVX2), so whether the
+ * vector kernels may run is strictly a runtime question answered here.
  */
 
 namespace spikesim::support {

@@ -13,7 +13,8 @@
  * runnable here — forced scalar and forced AVX2 (sim/kernels.hh) —
  * for the families that take a SimdMode. The SIMD kernels have no
  * tolerance: miss counts, classification counts, and interference
- * matrices must match the scalar Replayer bit for bit.
+ * matrices must match the scalar Replayer bit for bit. An empty
+ * configuration span returns an empty column and runs no shard.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 
 #include "core/layout.hh"
 #include "metrics/sequence.hh"
+#include "obs/registry.hh"
 #include "program/builder.hh"
 #include "sim/engine.hh"
 #include "sim/timing.hh"
@@ -454,6 +456,37 @@ TEST(ReplayEngine, MatchesSequenceOracleOnBothImages)
                     << "cpus " << cpus;
             }
         }
+    }
+}
+
+TEST(ReplayEngine, EmptyColumnsReturnEmpty)
+{
+    Pools pools;
+    Workload w(3, 700);
+    const ResolvedTraceSoA soa =
+        w.rep.resolveSoA(StreamFilter::Combined, true);
+    const std::span<const mem::CacheConfig> caches;
+    const std::span<const ITlbSpec> specs;
+    const std::span<const mem::HierarchyConfig> hierarchies;
+    // Every shard the engine runs bumps this counter (see
+    // forEachShard); an empty column must run none, on any pool.
+    const obs::Counter& shards = obs::counter("sim.replay.shards");
+    for (support::ThreadPool* pool : pools.all) {
+        const std::uint64_t before = shards.value();
+        for (SimdMode mode : runnableModes()) {
+            EXPECT_TRUE(replayICache(soa, caches, mode, pool).empty());
+            EXPECT_TRUE(replayThreeCs(soa, caches, mode, pool).empty());
+            EXPECT_TRUE(
+                replayStreamBuffer(soa, caches, 4, mode, pool).empty());
+            EXPECT_TRUE(replayITlb(soa, specs, mode, pool).empty());
+        }
+        for (bool flag : {false, true}) {
+            EXPECT_TRUE(replayInstrumented(soa, caches, flag, pool).empty());
+            EXPECT_TRUE(
+                replayHierarchy(soa, hierarchies, flag, pool).empty());
+        }
+        EXPECT_EQ(shards.value(), before)
+            << (pool == nullptr ? 0 : pool->numThreads()) << " threads";
     }
 }
 

@@ -333,9 +333,10 @@ checkServing(BenchChecker& c)
 }
 
 /** Field checks specific to BENCH_replay.json (the SoA/SIMD replay
- *  micro-bench). The avx2 keys (soa_avx2_seconds, family_avx2_*, ...)
- *  depend on the host's SIMD support, so only the always-present
- *  headline fields are required. */
+ *  micro-bench). The avx2 keys (soa_avx2_seconds,
+ *  family_avx2_icache_seconds, ...) depend on the host's SIMD support,
+ *  so only the always-present fields are required: the headline, the
+ *  scalar i-cache column and the one-kernel family columns. */
 void
 checkReplay(BenchChecker& c)
 {
@@ -347,7 +348,9 @@ checkReplay(BenchChecker& c)
           "pooled_threads", "soa_scalar_vs_oracle",
           "pooled_vs_soa_scalar", "end_to_end_speedup",
           "resolve_seconds", "icache_grid_configs",
-          "icache_grid_soa_scalar_seconds"})
+          "icache_grid_soa_scalar_seconds", "family_scalar_icache_seconds",
+          "family_threec_seconds", "family_streambuf_seconds",
+          "family_itlb_seconds"})
         c.number(doc, "top level", key);
     c.string(doc, "top level", "simd_kernel");
     c.string(doc, "top level", "simd_kernel_reason");
