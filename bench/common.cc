@@ -1,5 +1,6 @@
 #include "bench/common.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "sim/corpus.hh"
+#include "sim/sweep.hh"
 #include "support/panic.hh"
 
 namespace spikesim::bench {
@@ -117,17 +119,6 @@ parseTxnCount(const std::string& arg, const char* what,
     if (errno == ERANGE || end != arg.c_str() + arg.size())
         fail(std::string(what) + " is out of range: '" + arg + "'");
     return v;
-}
-
-sim::SimdMode
-parseSimdFlag(const std::string& arg, const std::string& usage_line)
-{
-    if (arg == "0")
-        return sim::SimdMode::Scalar;
-    if (arg == "1")
-        return sim::SimdMode::Simd;
-    support::fatal("--simd must be 0 or 1, got '" + arg + "'\n" +
-                   usage_line);
 }
 
 ObsOptions
@@ -419,11 +410,6 @@ runWorkload(int argc, char** argv, std::uint64_t profile_txns,
         m.info.emplace_back("profile_txns",
                             std::to_string(profile_txns));
         m.info.emplace_back("trace_txns", std::to_string(trace_txns));
-        const sim::KernelChoice choice =
-            sim::resolveKernel(sim::SimdMode::Auto);
-        m.info.emplace_back("simd_kernel",
-                            sim::kernelName(choice.kind));
-        m.info.emplace_back("simd_kernel_reason", choice.reason);
         if (!corpus_dir.empty())
             m.info.emplace_back("corpus_dir", corpus_dir);
     }
@@ -443,29 +429,65 @@ BenchReplay::resolved(sim::StreamFilter filter, bool include_data)
     return it->second;
 }
 
-sim::ICacheReplayResult
+sim::SweepSpec
+sweepSpecFor(std::span<const mem::CacheConfig> configs)
+{
+    sim::SweepSpec spec;
+    spec.assocs.clear();
+    const auto add = [](std::vector<std::uint32_t>& dim, std::uint32_t v) {
+        if (std::find(dim.begin(), dim.end(), v) == dim.end())
+            dim.push_back(v);
+    };
+    for (const mem::CacheConfig& config : configs) {
+        add(spec.size_bytes, config.size_bytes);
+        add(spec.line_bytes, config.line_bytes);
+        add(spec.assocs, config.assoc);
+    }
+    return spec;
+}
+
+ICacheCounts
 BenchReplay::icache(const mem::CacheConfig& config,
                     sim::StreamFilter filter)
+{
+    return icacheColumn({&config, 1}, filter)[0];
+}
+
+std::vector<ICacheCounts>
+BenchReplay::icacheColumn(std::span<const mem::CacheConfig> configs,
+                          sim::StreamFilter filter)
+{
+    std::vector<ICacheCounts> out;
+    out.reserve(configs.size());
+    if (!parallel_) {
+        for (const mem::CacheConfig& config : configs) {
+            const sim::ICacheReplayResult r = rep_.icache(config, filter);
+            out.push_back({r.accesses, r.misses});
+        }
+        return out;
+    }
+    if (configs.empty())
+        return out;
+
+    // One walk prices every cell of the grid the column spans.
+    const sim::SweepJob job{&rep_.app(), rep_.kernel(), filter,
+                            sweepSpecFor(configs), ""};
+    const sim::SweepResult sweep =
+        sim::runSweepJobs(rep_.trace(), {job}, pool_)[0];
+    for (const mem::CacheConfig& config : configs)
+        out.push_back({sweep.accesses(config.line_bytes),
+                       sweep.misses(config)});
+    return out;
+}
+
+sim::ICacheReplayResult
+BenchReplay::icacheInterference(const mem::CacheConfig& config,
+                                sim::StreamFilter filter)
 {
     if (!parallel_)
         return rep_.icache(config, filter);
     return sim::replayICache(resolved(filter, false), {&config, 1},
                              sim::SimdMode::Auto, pool_)[0];
-}
-
-std::vector<sim::ICacheReplayResult>
-BenchReplay::icacheColumn(std::span<const mem::CacheConfig> configs,
-                          sim::StreamFilter filter)
-{
-    if (!parallel_) {
-        std::vector<sim::ICacheReplayResult> out;
-        out.reserve(configs.size());
-        for (const mem::CacheConfig& config : configs)
-            out.push_back(rep_.icache(config, filter));
-        return out;
-    }
-    return sim::replayICache(resolved(filter, false), configs,
-                             sim::SimdMode::Auto, pool_);
 }
 
 mem::ThreeCStats

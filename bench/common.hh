@@ -44,18 +44,11 @@
  * `--threads N` flag (or the SPIKESIM_THREADS environment variable)
  * sizes one support::ThreadPool owned by the Workload, used by both the
  * sweep executor (sim/sweep.hh) and the parallel replay engine
- * (sim/engine.hh, via BenchReplay below). `--threads 0` disables the
- * pool entirely and BenchReplay falls back to the scalar per-config
- * Replayer walks — the differential oracle path, so `--threads 0`
- * versus `--threads N` is a byte-identical A/B of every table. The
- * default is the hardware concurrency.
- *
- * The SoA replay kernels are picked from CPUID (sim::resolveKernel:
- * AVX2 when the host reports it, else scalar), with no flag or
- * environment override; every kernel is byte-identical to every other,
- * so the choice only moves time. The chosen kernel and the reason it
- * was chosen land in the run manifest (simd_kernel,
- * simd_kernel_reason).
+ * (sim/engine.hh), both via BenchReplay below. `--threads 0` disables
+ * the pool entirely and BenchReplay falls back to the scalar
+ * per-config Replayer walks — the differential oracle path, so
+ * `--threads 0` versus `--threads N` is a byte-identical A/B of every
+ * table. The default is the hardware concurrency.
  *
  * When any observability switch is active, ObsRun also opens hardware
  * perf counters (obs/perf.hh) over the whole run and folds cycles,
@@ -252,17 +245,28 @@ struct Workload
     }
 };
 
+/** Plain i-cache counts of one configuration. */
+struct ICacheCounts
+{
+    std::uint64_t accesses = 0; ///< line fetches
+    std::uint64_t misses = 0;
+};
+
+/** The sweep grid spanned by a column of configs: its distinct sizes,
+ *  line sizes and associativities, in first-seen order. */
+sim::SweepSpec sweepSpecFor(std::span<const mem::CacheConfig> configs);
+
 /**
  * Replay dispatcher for the figure benches: one trace + layout pair,
  * replayed either by the scalar per-config Replayer walks (no pool —
- * the oracle) or by the production replay path, the SoA kernels of
- * sim/engine.hh over a per-CPU-partitioned structure-of-arrays trace
- * (sim/soa.hh) cached per (filter, data) key. Both paths produce
- * bit-identical results, so every bench table is byte-identical across
- * `--threads` settings and SIMD kernels; the production path resolves
- * the trace into its SoA columns once per key (Replayer::resolveSoA)
- * and fuses all configurations of a column into one walk through the
- * SoA replay kernels.
+ * the oracle) or by the production paths. Plain i-cache miss counts
+ * come from one LRU-stack sweep job over the trace (sim/sweep.hh);
+ * every other family, and the i-cache interference matrix, comes from
+ * the SoA kernels of sim/engine.hh over a per-CPU-partitioned
+ * structure-of-arrays trace (sim/soa.hh), resolved once per (filter,
+ * data) key and cached. All paths produce bit-identical results, so
+ * every bench table is byte-identical across `--threads` settings; a
+ * column of configurations is priced by one fused walk.
  */
 class BenchReplay
 {
@@ -287,12 +291,17 @@ class BenchReplay
 
     const sim::Replayer& replayer() const { return rep_; }
 
-    sim::ICacheReplayResult icache(const mem::CacheConfig& config,
-                                   sim::StreamFilter filter);
-    /** One fused walk pricing a whole column of configurations. */
-    std::vector<sim::ICacheReplayResult>
+    ICacheCounts icache(const mem::CacheConfig& config,
+                        sim::StreamFilter filter);
+    /** One sweep job pricing a whole column of configurations. */
+    std::vector<ICacheCounts>
     icacheColumn(std::span<const mem::CacheConfig> configs,
                  sim::StreamFilter filter);
+    /** Misses split by stream and by victim owner (Figure 13); the
+     *  one i-cache query the sweep does not answer. */
+    sim::ICacheReplayResult
+    icacheInterference(const mem::CacheConfig& config,
+                       sim::StreamFilter filter);
 
     mem::ThreeCStats threeCs(const mem::CacheConfig& config,
                              sim::StreamFilter filter);
@@ -371,14 +380,6 @@ Workload runWorkload(int argc, char** argv,
  */
 std::uint64_t parseTxnCount(const std::string& arg, const char* what,
                             const std::string& usage_line = "");
-
-/**
- * Strict `--simd` value parse for the benches that force a kernel:
- * exactly "0" (scalar) or "1" (AVX2); anything else is a fatal error
- * followed by `usage_line`.
- */
-sim::SimdMode parseSimdFlag(const std::string& arg,
-                            const std::string& usage_line);
 
 /**
  * Thread count from SPIKESIM_THREADS, or the hardware concurrency when

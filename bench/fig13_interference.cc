@@ -18,8 +18,8 @@ matrix(const bench::Workload& w, const core::Layout& app,
 {
     std::cout << title << "\n";
     bench::BenchReplay rep(w, app, &kernel);
-    auto r = rep.icache({128 * 1024, 128, 4},
-                        sim::StreamFilter::Combined);
+    auto r = rep.icacheInterference({128 * 1024, 128, 4},
+                                    sim::StreamFilter::Combined);
     const auto& m = r.interference;
     support::TablePrinter table({"missing process", "on app-owned line",
                                  "on kernel-owned line", "cold fill",

@@ -10,31 +10,28 @@
  * instruction count — several ways:
  *
  *   per-config oracle   one scalar Replayer walk per configuration
- *   soa scalar          Replayer::resolveSoA, scalar kernels forced
- *   soa avx2            same, the AVX2 i-cache kernel (when runnable)
- *   soa pooled          same, the resolved kernel, sharded across a pool
+ *   soa scalar          Replayer::resolveSoA, the SoA kernels, no pool
+ *   soa pooled          same, sharded across a pool
  *
  * All paths must produce bit-identical results (the process exits
  * non-zero on any divergence, which is what the bench_micro_replay_smoke
- * ctest checks). The kernel is picked from CPUID like every other
- * replay; `--simd 0` forces scalar and `--simd 1` forces AVX2 (fatal
- * on a host without it). `--results-out FILE` additionally dumps every
- * replayed counter in a fixed text format; the
- * bench_micro_replay_identity ctest compares the dump of a
- * forced-scalar process byte-for-byte against a CPUID-dispatch one.
+ * ctest checks). `--results-out FILE` additionally dumps every
+ * replayed counter in a fixed text format; a golden ctest compares
+ * that dump byte for byte with the committed one
+ * (bench/goldens/micro_replay_results.30.txt).
  *
  * Timed phases, all in BENCH_replay.json:
  *
  *  - the resolve phase: Replayer::resolveSoA of the combined stream.
- *  - per-family columns: the i-cache column under each runnable
- *    kernel, and the three-C, stream-buffer and iTLB columns once
- *    (those families run one scalar kernel under every mode).
+ *  - per-family columns: the i-cache, three-C, stream-buffer and iTLB
+ *    columns, once each.
  *  - the fig04 grid: the paper's 25-configuration direct-mapped
- *    sweep ({32..512}KB x {16..256}B), single-threaded, through every
- *    runnable SoA kernel; the avx2 speedup is against soa scalar.
+ *    sweep ({32..512}KB x {16..256}B), single-threaded, through the
+ *    SoA i-cache kernel and through the LRU-stack sweep
+ *    (sim/sweep.hh), the production engine for plain miss grids. The
+ *    sweep's counts are bit-compared with the SoA grid's.
  *
- * Usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1]
- *                     [--results-out FILE]
+ * Usage: micro_replay [profile_txns] [trace_txns] [--results-out FILE]
  */
 
 #include <chrono>
@@ -43,6 +40,7 @@
 #include <iomanip>
 
 #include "bench/common.hh"
+#include "sim/sweep.hh"
 #include "sim/timing.hh"
 #include "support/panic.hh"
 
@@ -126,7 +124,7 @@ struct SuiteResults
 /** How runSuite reaches the simulators. */
 enum class SuitePath {
     Oracle, ///< one scalar Replayer walk per configuration
-    SoA,    ///< Replayer::resolveSoA; `mode` picks the kernels
+    SoA,    ///< Replayer::resolveSoA, then the SoA kernels
 };
 
 double
@@ -137,7 +135,7 @@ seconds(std::chrono::steady_clock::time_point t0,
 }
 
 SuiteResults
-runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
+runSuite(const sim::Replayer& rep, SuitePath path,
          support::ThreadPool* pool)
 {
     using clock = std::chrono::steady_clock;
@@ -148,6 +146,7 @@ runSuite(const sim::Replayer& rep, SuitePath path, sim::SimdMode mode,
     const auto specs = itlbSpecs();
     const auto hcfg = hierarchyConfigs();
     const auto filter = sim::StreamFilter::Combined;
+    const auto mode = sim::SimdMode::Auto;
 
     SuiteResults r;
     const auto t0 = clock::now();
@@ -330,9 +329,8 @@ compareSuites(const SuiteResults& a, const SuiteResults& b,
 /**
  * Dump every replayed counter of one suite run in a fixed text format.
  * Counters only — no timings, no host facts — so the file is
- * byte-identical across kernels, thread counts, and hosts; the
- * bench_micro_replay_identity ctest diffs a forced-scalar run against
- * an auto-dispatch run through this.
+ * byte-identical across thread counts and hosts; the golden ctest
+ * compares it with bench/goldens/micro_replay_results.30.txt.
  */
 void
 writeResults(const std::string& path, const SuiteResults& r)
@@ -418,15 +416,8 @@ bestOf(Fn&& fn)
     return best;
 }
 
-sim::SimdMode
-modeFor(sim::KernelKind kind)
-{
-    return kind == sim::KernelKind::Avx2 ? sim::SimdMode::Simd
-                                         : sim::SimdMode::Scalar;
-}
-
 constexpr const char* kUsage =
-    "usage: micro_replay [profile_txns] [trace_txns] [--simd 0|1] "
+    "usage: micro_replay [profile_txns] [trace_txns] "
     "[--results-out FILE]";
 
 } // namespace
@@ -441,17 +432,12 @@ main(int argc, char** argv)
     std::uint64_t positional[2] = {400, 300};
     const char* positional_names[2] = {"profile_txns", "trace_txns"};
     int n_positional = 0;
-    sim::SimdMode simd_mode = sim::SimdMode::Auto;
     std::string results_out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if ((arg == "--simd" || arg == "--results-out") && i + 1 >= argc)
+        if (arg == "--results-out" && i + 1 >= argc)
             support::fatal(arg + " needs a value\n" + kUsage);
-        if (arg == "--simd") {
-            simd_mode = bench::parseSimdFlag(argv[++i], kUsage);
-        } else if (arg.rfind("--simd=", 0) == 0) {
-            simd_mode = bench::parseSimdFlag(arg.substr(7), kUsage);
-        } else if (arg == "--results-out") {
+        if (arg == "--results-out") {
             results_out = argv[++i];
         } else if (arg.rfind("--results-out=", 0) == 0) {
             results_out = arg.substr(14);
@@ -467,11 +453,6 @@ main(int argc, char** argv)
     }
     const std::uint64_t profile_txns = positional[0];
     const std::uint64_t trace_txns = positional[1];
-
-    // Resolve the dispatch once, before anything runs: --simd 1 on a
-    // host that cannot run the AVX2 kernels fails loudly here.
-    const sim::KernelChoice choice = sim::resolveKernel(simd_mode);
-    const char* kernel_name = sim::kernelName(choice.kind);
 
     sim::SystemConfig config;
     config.num_cpus = 4;
@@ -497,34 +478,11 @@ main(int argc, char** argv)
     support::ThreadPool pool(threads);
 
     std::cerr << "[micro_replay] trace: " << buf.size() << " events, "
-              << buf.numCpus() << " cpus; kernel " << kernel_name
-              << " (" << choice.reason << "); replaying...\n";
-    SuiteResults oracle =
-        runSuite(rep, SuitePath::Oracle, simd_mode, nullptr);
-    SuiteResults soa_scalar =
-        runSuite(rep, SuitePath::SoA, sim::SimdMode::Scalar, nullptr);
+              << buf.numCpus() << " cpus; replaying...\n";
+    SuiteResults oracle = runSuite(rep, SuitePath::Oracle, nullptr);
+    SuiteResults soa_scalar = runSuite(rep, SuitePath::SoA, nullptr);
     compareSuites(oracle, soa_scalar, "oracle vs soa scalar");
-
-    // The vector kernel gets its own comparison rows whenever the
-    // resolved dispatch picked it; --simd 0 means a fully scalar run.
-    std::vector<sim::KernelKind> vec_kinds;
-    if (choice.kind != sim::KernelKind::Scalar)
-        vec_kinds.push_back(choice.kind);
-
-    std::vector<SuiteResults> soa_vec(vec_kinds.size());
-    for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
-        soa_vec[v] = runSuite(rep, SuitePath::SoA,
-                              modeFor(vec_kinds[v]), nullptr);
-        const std::string label =
-            std::string("oracle vs soa ") +
-            sim::kernelName(vec_kinds[v]);
-        compareSuites(oracle, soa_vec[v], label.c_str());
-    }
-
-    // The pool-sharded production path under the resolved kernel, so
-    // every smoke's dispatch setting also covers the sharded walks.
-    SuiteResults pooled =
-        runSuite(rep, SuitePath::SoA, simd_mode, &pool);
+    SuiteResults pooled = runSuite(rep, SuitePath::SoA, &pool);
     compareSuites(oracle, pooled, "oracle vs soa pooled");
 
     const auto filter = sim::StreamFilter::Combined;
@@ -532,67 +490,57 @@ main(int argc, char** argv)
         bestOf([&] { (void)rep.resolveSoA(filter); });
 
     // Headline: the paper's 25-config direct-mapped grid (Figure 4),
-    // single-threaded, resolve excluded — this isolates the replay
-    // kernels themselves. SoA scalar is the baseline the vector
-    // kernels are measured against.
+    // single-threaded. The SoA kernel's time excludes the resolve,
+    // which isolates the kernel itself; the sweep's includes building
+    // its block stream, which it does on every call.
     const auto grid = fig04Grid();
     const sim::ResolvedTraceSoA grid_soa = rep.resolveSoA(filter);
-    std::vector<sim::ICacheReplayResult> grid_oracle;
-    for (const auto& c : grid)
-        grid_oracle.push_back(rep.icache(c, filter));
-    auto check_grid = [&](const std::vector<sim::ICacheReplayResult>& col,
-                          sim::KernelKind kind) {
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            if (!sameICache(grid_oracle[i], col[i])) {
-                std::cerr << "[micro_replay] FAIL: fig04 grid config "
-                          << i << " diverges from the oracle under "
-                          << sim::kernelName(kind) << "\n";
-                std::exit(1);
-            }
-        }
-    };
     std::vector<sim::ICacheReplayResult> grid_scalar;
     const double grid_scalar_s = bestOf([&] {
         grid_scalar = sim::replayICache(grid_soa, grid,
-                                        sim::SimdMode::Scalar, nullptr);
+                                        sim::SimdMode::Auto, nullptr);
     });
-    check_grid(grid_scalar, sim::KernelKind::Scalar);
-    std::vector<double> grid_vec_s(vec_kinds.size(), 0.0);
-    for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
-        std::vector<sim::ICacheReplayResult> grid_vec;
-        grid_vec_s[v] = bestOf([&] {
-            grid_vec = sim::replayICache(grid_soa, grid,
-                                         modeFor(vec_kinds[v]), nullptr);
-        });
-        check_grid(grid_vec, vec_kinds[v]);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        if (!sameICache(rep.icache(grid[i], filter), grid_scalar[i])) {
+            std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
+                      << " of the SoA kernel diverges from the oracle\n";
+            std::exit(1);
+        }
+    }
+    const sim::SweepJob grid_job{&app, &kernel, filter,
+                                 bench::sweepSpecFor(grid), "fig04"};
+    std::vector<sim::SweepResult> grid_sweep;
+    const double grid_sweep_s = bestOf([&] {
+        grid_sweep = sim::runSweepJobs(buf, {grid_job}, nullptr);
+    });
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        if (grid_sweep[0].accesses(grid[i].line_bytes) !=
+                grid_scalar[i].accesses ||
+            grid_sweep[0].misses(grid[i]) != grid_scalar[i].misses) {
+            std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
+                      << " of the sweep diverges from the SoA kernel\n";
+            std::exit(1);
+        }
     }
 
-    // Per-family column timings over the same SoA trace: the i-cache
-    // column under each kernel (where the vector walk pays), and the
-    // one-kernel families once per process.
+    // Per-family column timings over the same SoA trace.
     const auto icfg = icacheConfigs();
     const auto tcfg = threeCConfigs();
     const auto scfg = streamConfigs();
     const auto specs = itlbSpecs();
-    std::vector<sim::KernelKind> all_kinds{sim::KernelKind::Scalar};
-    all_kinds.insert(all_kinds.end(), vec_kinds.begin(),
-                     vec_kinds.end());
-    std::vector<double> family_icache(all_kinds.size(), 0.0);
-    for (std::size_t v = 0; v < all_kinds.size(); ++v) {
-        const sim::SimdMode m = modeFor(all_kinds[v]);
-        family_icache[v] = bestOf([&] {
-            (void)sim::replayICache(grid_soa, icfg, m, nullptr);
-        });
-    }
+    const auto mode = sim::SimdMode::Auto;
+    const double family_icache = bestOf([&] {
+        (void)sim::replayICache(grid_soa, icfg, mode, nullptr);
+    });
     const double family_threec = bestOf([&] {
-        (void)sim::replayThreeCs(grid_soa, tcfg, simd_mode, nullptr);
+        (void)sim::replayThreeCs(grid_soa, tcfg, mode, nullptr);
     });
     const double family_sbuf = bestOf([&] {
         (void)sim::replayStreamBuffer(grid_soa, scfg, kStreamBuffers,
-                                      simd_mode, nullptr);
+                                      mode, nullptr);
     });
     const double family_itlb = bestOf([&] {
-        (void)sim::replayITlb(grid_soa, specs, simd_mode, nullptr);
+        (void)sim::replayITlb(grid_soa, specs, mode, nullptr);
     });
 
     const double scalar_speedup = oracle.seconds / soa_scalar.seconds;
@@ -607,66 +555,40 @@ main(int argc, char** argv)
     };
     std::cout << "trace events:        " << buf.size() << " ("
               << buf.numCpus() << " cpus)\n"
-              << "simd kernel:         " << kernel_name << " ("
-              << choice.reason << ")\n"
               << "per-config oracle:   " << oracle.seconds << " s\n";
     phase_row("soa scalar:          ", soa_scalar);
-    for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
-        std::string name =
-            std::string("soa ") + sim::kernelName(vec_kinds[v]) + ":";
-        name.resize(21, ' ');
-        phase_row(name, soa_vec[v]);
-    }
     std::cout << "soa pooled:          " << pooled.seconds << " s ("
-              << pool.numThreads() << " threads, " << kernel_name
-              << ")\n"
+              << pool.numThreads() << " threads)\n"
               << "scalar vs oracle:    " << scalar_speedup << "x\n"
               << "pooled vs scalar:    " << pooled_speedup << "x\n"
               << "end-to-end speedup:  " << end_to_end << "x\n"
               << "resolve phase:       " << resolve_s << " s\n"
               << "fig04 grid (25 cfg): soa scalar " << grid_scalar_s
-              << " s";
-    for (std::size_t v = 0; v < vec_kinds.size(); ++v)
-        std::cout << ", soa " << sim::kernelName(vec_kinds[v]) << " "
-                  << grid_vec_s[v] << " s ("
-                  << grid_scalar_s / grid_vec_s[v] << "x)";
-    std::cout << "\nper-family columns (s):\n";
-    for (std::size_t v = 0; v < all_kinds.size(); ++v) {
-        std::string name = sim::kernelName(all_kinds[v]);
-        name.resize(8, ' ');
-        std::cout << "  " << name << " icache " << family_icache[v]
-                  << "\n";
-    }
-    std::cout << "  one kernel threec " << family_threec << "  sbuf "
-              << family_sbuf << "  itlb " << family_itlb << "\n";
+              << " s, sweep " << grid_sweep_s << " s\n"
+              << "per-family columns (s): icache " << family_icache
+              << "  threec " << family_threec << "  sbuf " << family_sbuf
+              << "  itlb " << family_itlb << "\n";
     std::cout << "differential check:  PASS (all simulator families "
                  "bit-identical)\n\n";
 
+    // simd_kernel/simd_kernel_reason stay in the schema until the
+    // SimdMode shim goes (sim/kernels.hh).
+    const sim::KernelChoice choice = sim::resolveKernel(mode);
     std::ofstream json("BENCH_replay.json");
     json << "{\n"
          << "  \"bench\": \"replay\",\n"
          << "  \"trace_events\": " << buf.size() << ",\n"
          << "  \"trace_cpus\": " << buf.numCpus() << ",\n"
-         << "  \"simd_kernel\": \"" << kernel_name << "\",\n"
+         << "  \"simd_kernel\": \"" << sim::kernelName(choice.kind)
+         << "\",\n"
          << "  \"simd_kernel_reason\": \"" << choice.reason << "\",\n"
-         << "  \"avx2_available\": "
-         << (sim::simdAvailable() ? "true" : "false") << ",\n"
          << "  \"oracle_seconds\": " << oracle.seconds << ",\n"
          << "  \"soa_scalar_seconds\": " << soa_scalar.seconds << ",\n"
          << "  \"soa_scalar_resolve_seconds\": "
          << soa_scalar.resolve_seconds << ",\n"
          << "  \"soa_scalar_replay_seconds\": "
-         << soa_scalar.replay_seconds << ",\n";
-    for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
-        const char* kn = sim::kernelName(vec_kinds[v]);
-        json << "  \"soa_" << kn << "_seconds\": "
-             << soa_vec[v].seconds << ",\n"
-             << "  \"soa_" << kn << "_resolve_seconds\": "
-             << soa_vec[v].resolve_seconds << ",\n"
-             << "  \"soa_" << kn << "_replay_seconds\": "
-             << soa_vec[v].replay_seconds << ",\n";
-    }
-    json << "  \"pooled_seconds\": " << pooled.seconds << ",\n"
+         << soa_scalar.replay_seconds << ",\n"
+         << "  \"pooled_seconds\": " << pooled.seconds << ",\n"
          << "  \"pooled_threads\": " << pool.numThreads() << ",\n"
          << "  \"soa_scalar_vs_oracle\": " << scalar_speedup << ",\n"
          << "  \"pooled_vs_soa_scalar\": " << pooled_speedup << ",\n"
@@ -674,18 +596,11 @@ main(int argc, char** argv)
          << "  \"resolve_seconds\": " << resolve_s << ",\n"
          << "  \"icache_grid_configs\": " << grid.size() << ",\n"
          << "  \"icache_grid_soa_scalar_seconds\": " << grid_scalar_s
-         << ",\n";
-    for (std::size_t v = 0; v < vec_kinds.size(); ++v) {
-        const char* kn = sim::kernelName(vec_kinds[v]);
-        json << "  \"icache_grid_soa_" << kn << "_seconds\": "
-             << grid_vec_s[v] << ",\n"
-             << "  \"icache_grid_" << kn << "_speedup\": "
-             << grid_scalar_s / grid_vec_s[v] << ",\n";
-    }
-    for (std::size_t v = 0; v < all_kinds.size(); ++v)
-        json << "  \"family_" << sim::kernelName(all_kinds[v])
-             << "_icache_seconds\": " << family_icache[v] << ",\n";
-    json << "  \"family_threec_seconds\": " << family_threec << ",\n"
+         << ",\n"
+         << "  \"icache_grid_sweep_seconds\": " << grid_sweep_s << ",\n"
+         << "  \"family_scalar_icache_seconds\": " << family_icache
+         << ",\n"
+         << "  \"family_threec_seconds\": " << family_threec << ",\n"
          << "  \"family_streambuf_seconds\": " << family_sbuf << ",\n"
          << "  \"family_itlb_seconds\": " << family_itlb << ",\n"
          << "  \"differential_ok\": true\n"
@@ -694,15 +609,8 @@ main(int argc, char** argv)
     std::cout << "wrote BENCH_replay.json\n";
     obs.addArtifactFile("BENCH_replay.json");
 
-    // The identity dump uses the suite replayed under the resolved
-    // dispatch: for --simd 0 that is the all-scalar run, otherwise the
-    // last (widest) vector run — so diffing a forced-scalar dump
-    // against an auto dump compares scalar and vector kernel output
-    // across two processes, not just within this one.
     if (!results_out.empty()) {
-        writeResults(results_out, soa_vec.empty()
-                                      ? soa_scalar
-                                      : soa_vec.back());
+        writeResults(results_out, soa_scalar);
         std::cout << "wrote " << results_out << "\n";
     }
     return 0;

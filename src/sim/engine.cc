@@ -130,18 +130,12 @@ sumOverCpus(std::size_t, std::span<const T> cpus)
 
 std::vector<ICacheReplayResult>
 replayICache(const ResolvedTraceSoA& soa,
-             std::span<const mem::CacheConfig> configs, SimdMode mode,
+             std::span<const mem::CacheConfig> configs, SimdMode,
              support::ThreadPool* pool)
 {
-    // Resolve once, up front: a fatal misconfiguration (forced SIMD on
-    // a host without it) must fire before any shard runs, and every
-    // shard must use the same kernel.
-    const KernelKind kind = resolveKernel(mode).kind;
     return replayShards<ICacheReplayResult>(
         soa, configs, pool,
-        [kind](const detail::IcacheShard& sh) {
-            detail::icacheShardRun(kind, sh);
-        },
+        detail::runIcacheShardImpl,
         [](std::size_t, std::span<const ICacheReplayResult> cpus) {
             ICacheReplayResult r;
             for (const ICacheReplayResult& p : cpus) {

@@ -47,17 +47,21 @@
  * from sim/kernels_detail.hh on a detail::Shard, the cells' outputs
  * are kept per (config, CPU), and each config's result is merged from
  * its per-CPU partials in CPU order. An empty config span returns an
- * empty vector and runs no shard. Only the i-cache family has a vector
- * kernel, and only replayICache acts on its SimdMode. The three-C,
- * iTLB and stream-buffer entry points keep a SimdMode parameter for
- * source compatibility but run their one scalar kernel under every
- * mode; the instrumented and hierarchy kernels take none.
+ * empty vector and runs no shard. Every family has one scalar kernel.
+ * The i-cache, three-C, iTLB and stream-buffer entry points keep a
+ * SimdMode parameter for source compatibility (sim/kernels.hh) and
+ * ignore it.
+ *
+ * Plain i-cache miss grids do not come through here: the LRU-stack
+ * sweep (sim/sweep.hh) prices them from the layout-independent block
+ * stream. replayICache serves what the sweep does not count, the
+ * app/kernel split and Figure 13's interference matrix.
  */
 
 namespace spikesim::sim {
 
 /** Line-granular i-cache replay with interference attribution, one
- *  result per config (Figures 12/13 columns). */
+ *  result per config (Figure 13). */
 std::vector<ICacheReplayResult>
 replayICache(const ResolvedTraceSoA& soa,
              std::span<const mem::CacheConfig> configs,

@@ -9,79 +9,53 @@
 
 /**
  * @file
- * The runtime SIMD dispatch of the SoA replay kernels, and the shard
- * type every kernel takes.
+ * The shard type every SoA replay kernel takes.
  *
- * All kernels live in kernels_detail.hh, one per simulator family, and
- * sim/engine.cc calls them directly on detail::Shard cells. The
- * i-cache family is the one replay step where a vector walk pays, so
- * it alone has two implementations behind icacheShardRun():
- *
- *  - scalar (runIcacheShardImpl): the shared per-CPU instruction-ref
- *    walk and line-step cursor of kernels_detail.hh, built with the
- *    project's default flags. It runs on any host and is the
- *    differential ground truth next to the per-config Replayer oracle.
- *
- *  - AVX2 (kernels_avx2.cc): run-coalescing walk with gather-free
- *    direct-mapped probes and 4/8-way whole-set vector probes. Only
- *    that TU's own code is compiled for AVX2 (a target pragma after
- *    the shared includes, no global -march change), and it is only
- *    entered when the host CPU reports AVX2.
- *
- * Both build and fold the same IcacheState and fall back to the same
- * ScalarProbe, so they can differ only in probe arithmetic, which
- * computes the same integers. Every other family (three-C, stream
- * buffers, iTLB, instrumented, hierarchy) has one scalar kernel that
- * serves every KernelKind: their vector ports did not beat scalar by
- * more than the run-to-run noise (EXPERIMENTS.md), or their probes
- * (FA-LRU pointer chasing, serial per-word histogram updates,
- * dependent L1 -> L2 lookups) have no data-parallel form.
- *
- * Dispatch is deterministic: SimdMode::Auto picks AVX2 exactly when
- * the binary carries the AVX2 TU and CPUID reports AVX2, else scalar.
- * Callers may force either kernel (micro_replay's --simd 0|1); forcing
- * AVX2 on a host that cannot run it is fatal, never a silent fallback.
+ * All kernels live in kernels_detail.hh, one scalar kernel per
+ * simulator family, and sim/engine.cc calls them directly on
+ * detail::Shard cells. Plain i-cache miss grids run on the LRU-stack
+ * sweep (sim/sweep.hh) instead; the SoA i-cache kernel serves
+ * interference attribution and the differential checks against the
+ * per-config Replayer oracle.
  */
 
 namespace spikesim::sim {
 
-/** Kernel selection request for the SoA replay entry points. */
+// Source-compatibility shim for the end-to-end benchmark, which still
+// passes SimdMode::Auto to the replay entry points and reports
+// resolveKernel()'s choice. Every name below goes with ROADMAP item 3
+// (the benchmark follow-up); nothing in the library acts on it.
+
+/** Kernel selection request; the one kernel serves every request. */
 enum class SimdMode {
-    Auto = 0, ///< AVX2 when CPUID reports it, else scalar
-    Scalar,   ///< force the scalar kernels (any host)
-    Simd,     ///< force the AVX2 kernels (fatal if unavailable)
+    Auto = 0,
 };
 
-/** The concrete kernel implementation a replay call will run. */
+/** The one kernel implementation a replay call runs. */
 enum class KernelKind {
     Scalar = 0,
-    Avx2,
 };
 
-/** Resolved dispatch decision plus a human-readable provenance note. */
+/** A kernel choice plus a provenance note. */
 struct KernelChoice
 {
     KernelKind kind = KernelKind::Scalar;
-    std::string reason; ///< e.g. "cpuid: avx2", "forced by caller: scalar"
+    std::string reason;
 };
 
-/** True when the AVX2 kernel TU was compiled into this binary. */
-bool simdKernelsCompiled();
+/** Always the scalar kernel, with the same reason on every call. */
+inline KernelChoice
+resolveKernel(SimdMode)
+{
+    return {KernelKind::Scalar, "one scalar kernel"};
+}
 
-/** True when the AVX2 kernels can run here (compiled + CPU support). */
-bool simdAvailable();
-
-/**
- * Resolve a mode to the final kernel choice. Auto returns AVX2 exactly
- * when simdAvailable() and scalar otherwise, with a reason starting
- * "cpuid:"; Scalar and Simd are explicit caller requests. Requesting
- * a kernel the host cannot run is a fatal user error, never a silent
- * fallback.
- */
-KernelChoice resolveKernel(SimdMode mode);
-
-/** "scalar" or "avx2" — for banners, manifests, JSON. */
-const char* kernelName(KernelKind kind);
+/** "scalar" — for banners, manifests, JSON. */
+inline const char*
+kernelName(KernelKind)
+{
+    return "scalar";
+}
 
 namespace detail {
 
@@ -105,11 +79,6 @@ struct Shard
 };
 
 using IcacheShard = Shard<mem::CacheConfig, ICacheReplayResult>;
-
-void icacheShardAvx2(const IcacheShard& shard); ///< AVX2 TU only
-
-/** Run one i-cache shard on the kernel implementation for `kind`. */
-void icacheShardRun(KernelKind kind, const IcacheShard& shard);
 
 } // namespace detail
 

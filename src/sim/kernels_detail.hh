@@ -64,10 +64,7 @@
  * Interference attribution needs the victim owner, so every i-cache
  * table slot also carries an owner byte (0 app / 1 kernel / 2 cold)
  * that is only written on fills, identical to the oracle's owner-tag
- * semantics. The AVX2 run-coalescing walk (kernels_avx2.cc) builds and
- * folds the same IcacheState and falls back to the same ScalarProbe,
- * so the two i-cache kernels can only differ in probe arithmetic,
- * never in state layout or counting.
+ * semantics.
  *
  * The hierarchy kernel (data refs too, one L1 per group of equal L1
  * geometry) and the layout-pricing kernel keep their own walks; the
@@ -354,58 +351,7 @@ struct LineGroup : LineCursor, TagTables
     std::vector<std::uint8_t> am_owners;
 };
 
-struct IcacheState
-{
-    std::vector<LineGroup> groups;
-    /** Per config slot: interference counts indexed [m * 3 + victim]. */
-    std::vector<std::array<std::uint64_t, 6>> intf;
-};
-
-inline IcacheState
-buildIcacheState(const mem::CacheConfig* configs, std::size_t k0,
-                 std::size_t k1)
-{
-    IcacheState st;
-    st.intf.assign(k1 - k0, {});
-    st.groups = groupBySize<LineGroup>(
-        configs, k0, k1, checkedLineBytes,
-        [](LineGroup& g, const mem::CacheConfig& c, std::size_t slot) {
-            g.addMember(c, slot);
-        });
-    for (LineGroup& g : st.groups) {
-        g.layoutTables();
-        g.dm_owners.assign(g.dm_tags.size(), kOwnerCold);
-        g.am_owners.assign(g.am_tags.size(), kOwnerCold);
-    }
-    return st;
-}
-
-/** Fold one shard's i-cache state into the output results. Shared by
- *  the scalar per-ref walk and the vector run-coalescing walk. */
-inline void
-foldIcacheState(const IcacheState& st, const IcacheShard& sh)
-{
-    for (const LineGroup& g : st.groups) {
-        const auto fold = [&](std::size_t slot) {
-            ICacheReplayResult& r = sh.out[slot];
-            const std::array<std::uint64_t, 6>& c = st.intf[slot];
-            r.accesses = g.line_steps;
-            for (int mm = 0; mm < 2; ++mm)
-                for (int v = 0; v < 3; ++v)
-                    r.interference.counts[mm][v] = c[mm * 3 + v];
-            r.app_misses = c[0] + c[1] + c[2];
-            r.kernel_misses = c[3] + c[4] + c[5];
-            r.misses = r.app_misses + r.kernel_misses;
-        };
-        for (const DmMember& d : g.dm)
-            fold(d.slot);
-        for (const AssocMember& a : g.am)
-            fold(a.slot);
-    }
-}
-
-/** Branch-lean reference probes; also the tail/odd-assoc fallback of
- *  the AVX2 walk. */
+/** Branch-lean i-cache probes. */
 struct ScalarProbe
 {
     /** Probe every direct-mapped member (the inclusive check already
@@ -469,14 +415,25 @@ struct ScalarProbe
 inline void
 runIcacheShardImpl(const IcacheShard& sh)
 {
-    IcacheState st = buildIcacheState(sh.configs, sh.k0, sh.k1);
-    std::array<std::uint64_t, 6>* intf = st.intf.data();
+    // Per config slot: interference counts indexed [m * 3 + victim].
+    std::vector<std::array<std::uint64_t, 6>> intf(sh.k1 - sh.k0);
+    std::vector<LineGroup> groups = groupBySize<LineGroup>(
+        sh.configs, sh.k0, sh.k1, checkedLineBytes,
+        [](LineGroup& g, const mem::CacheConfig& c, std::size_t slot) {
+            g.addMember(c, slot);
+        });
+    for (LineGroup& g : groups) {
+        g.layoutTables();
+        g.dm_owners.assign(g.dm_tags.size(), kOwnerCold);
+        g.am_owners.assign(g.am_tags.size(), kOwnerCold);
+    }
+
     InstrRefWalk refs(*sh.soa, sh.cpu);
     for (InstrRef r; refs.next(r);) {
         const unsigned m =
             r.owner == static_cast<std::uint8_t>(mem::Owner::App) ? 0u
                                                                    : 1u;
-        for (LineGroup& g : st.groups) {
+        for (LineGroup& g : groups) {
             // Cover the probe latency of the biggest (least
             // cache-resident) direct-mapped table with a short-lead
             // slot prefetch.
@@ -489,13 +446,30 @@ runIcacheShardImpl(const IcacheShard& sh)
             const LineSpan span = g.step(r.addr, r.last_byte);
             for (std::uint64_t ln = span.first; ln <= span.last; ++ln) {
                 if (!g.dm.empty() && !g.dmHit(ln))
-                    ScalarProbe::dmSlow(g, ln, m, intf);
+                    ScalarProbe::dmSlow(g, ln, m, intf.data());
                 for (const AssocMember& a : g.am)
-                    ScalarProbe::amProbe(g, a, ln, m, intf);
+                    ScalarProbe::amProbe(g, a, ln, m, intf.data());
             }
         }
     }
-    foldIcacheState(st, sh);
+
+    for (const LineGroup& g : groups) {
+        const auto fold = [&](std::size_t slot) {
+            ICacheReplayResult& r = sh.out[slot];
+            const std::array<std::uint64_t, 6>& c = intf[slot];
+            r.accesses = g.line_steps;
+            for (int mm = 0; mm < 2; ++mm)
+                for (int v = 0; v < 3; ++v)
+                    r.interference.counts[mm][v] = c[mm * 3 + v];
+            r.app_misses = c[0] + c[1] + c[2];
+            r.kernel_misses = c[3] + c[4] + c[5];
+            r.misses = r.app_misses + r.kernel_misses;
+        };
+        for (const DmMember& d : g.dm)
+            fold(d.slot);
+        for (const AssocMember& a : g.am)
+            fold(a.slot);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -15,9 +15,8 @@
  * The replay hot loops consume one or two of the four fields per
  * family (the i-cache kernels read addr and bytes and only branch on
  * owner), so streaming a packed 8-byte addr column keeps the loads
- * dense, lets the hardware prefetcher see plain unit-stride streams,
- * and gives the SIMD kernels (sim/kernels.hh) contiguous lanes to load
- * from. It is the only resolved form: the SoA kernels are the one
+ * dense and lets the hardware prefetcher see plain unit-stride
+ * streams. It is the only resolved form: the SoA kernels are the one
  * production replay path and the scalar Replayer walks the one oracle
  * (tests/replay_parallel_test.cc bit-compares the two for all seven
  * families; tests/soa_simd_test.cc checks resolveSoA column by column
@@ -27,8 +26,11 @@
 namespace spikesim::sim {
 
 namespace detail {
-/** madvise(MADV_HUGEPAGE) where available; no-op elsewhere. */
-void adviseHugePages(void* p, std::size_t bytes) noexcept;
+/** A fresh anonymous mapping of `bytes`, 2 MB-aligned and advised
+ *  MADV_HUGEPAGE where available; throws std::bad_alloc on failure. */
+void* mapColumn(std::size_t bytes);
+/** Return a mapColumn() mapping of `bytes` to the kernel. */
+void unmapColumn(void* p, std::size_t bytes) noexcept;
 } // namespace detail
 
 /**
@@ -39,11 +41,17 @@ void adviseHugePages(void* p, std::size_t bytes) noexcept;
  * only for the fill pass to touch them all a second time — on this
  * class of trace that is a full third of the resolve phase.
  *
- * Columns of 2 MB and up are additionally allocated 2 MB-aligned and
- * advised MADV_HUGEPAGE: a 10M-ref trace needs ~35k 4 KB pages per
- * resolve, and both the first-touch fill and every subsequent kernel
- * stream over the columns pay the fault/TLB cost. With huge pages the
- * same trace is ~70 mappings. A no-op where THP or madvise is absent.
+ * Columns of 2 MB and up are their own 2 MB-aligned anonymous
+ * mappings, advised MADV_HUGEPAGE: a 10M-ref trace needs ~35k 4 KB
+ * pages per resolve, and both the first-touch fill and every
+ * subsequent kernel stream over the columns pay the fault/TLB cost.
+ * With huge pages the same trace is ~70 mappings. They bypass malloc
+ * so that freeing one returns its memory at once: through malloc, a
+ * freed column raised glibc's dynamic mmap threshold, later columns
+ * landed in arena heaps that keep freed memory mapped, and which
+ * ones stayed resident depended on thread timing (spikebench
+ * ycsb-serving at seed 7 peaked anywhere in 309–388 MB over ten
+ * processes; EXPERIMENTS.md).
  */
 template <class T>
 struct ColumnAlloc : std::allocator<T>
@@ -62,9 +70,7 @@ struct ColumnAlloc : std::allocator<T>
         const std::size_t bytes = n * sizeof(T);
         if (bytes < kHugeBytes)
             return std::allocator<T>::allocate(n);
-        void* p = ::operator new(bytes, std::align_val_t(kHugeBytes));
-        detail::adviseHugePages(p, bytes);
-        return static_cast<T*>(p);
+        return static_cast<T*>(detail::mapColumn(bytes));
     }
 
     void
@@ -75,8 +81,7 @@ struct ColumnAlloc : std::allocator<T>
             std::allocator<T>::deallocate(p, n);
             return;
         }
-        ::operator delete(static_cast<void*>(p),
-                          std::align_val_t(kHugeBytes));
+        detail::unmapColumn(p, bytes);
     }
 
     template <class U>

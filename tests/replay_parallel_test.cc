@@ -9,9 +9,7 @@
  * to its one oracle, the scalar per-config Replayer/metrics walk. Each
  * family runs serial-fused (no pool), on a 2-thread pool, and on an
  * 8-thread pool wider than most traces' CPU count (which engages the
- * per-(cpu, config-chunk) sharding path), under every SoA kernel
- * runnable here — forced scalar and forced AVX2 (sim/kernels.hh) —
- * for the families that take a SimdMode. The SIMD kernels have no
+ * per-(cpu, config-chunk) sharding path). The kernels have no
  * tolerance: miss counts, classification counts, and interference
  * matrices must match the scalar Replayer bit for bit. An empty
  * configuration span returns an empty column and runs no shard.
@@ -102,23 +100,6 @@ const StreamFilter kFilters[] = {StreamFilter::AppOnly,
                                  StreamFilter::KernelOnly,
                                  StreamFilter::Combined};
 
-/** Kernel modes runnable here: scalar always, AVX2 when the host
- *  can. */
-std::vector<SimdMode>
-runnableModes()
-{
-    std::vector<SimdMode> modes{SimdMode::Scalar};
-    if (simdAvailable())
-        modes.push_back(SimdMode::Simd);
-    return modes;
-}
-
-const char*
-modeLabel(SimdMode mode)
-{
-    return mode == SimdMode::Simd ? "soa avx2" : "soa scalar";
-}
-
 template <typename H>
 void
 expectHistEq(const H& a, const H& b, const char* what)
@@ -179,7 +160,6 @@ TEST(ReplayEngine, MatchesICacheOracleRandomized)
 {
     Pools pools;
     const auto configs = testConfigs();
-    const auto modes = runnableModes();
     for (int cpus : {1, 2, 4, 8}) {
         Workload w(cpus, 100 + static_cast<std::uint32_t>(cpus));
         ASSERT_EQ(w.rep.numCpus(), cpus);
@@ -211,12 +191,10 @@ TEST(ReplayEngine, MatchesICacheOracleRandomized)
                                     << " config " << i;
                     }
                 };
-            for (support::ThreadPool* pool : pools.all) {
-                for (SimdMode mode : modes)
-                    expect_oracle(
-                        replayICache(soa, configs, mode, pool),
-                        modeLabel(mode));
-            }
+            for (support::ThreadPool* pool : pools.all)
+                expect_oracle(replayICache(soa, configs, SimdMode::Auto,
+                                           pool),
+                              "soa");
         }
     }
 }
@@ -225,7 +203,6 @@ TEST(ReplayEngine, MatchesThreeCsAndStreamBufferOracles)
 {
     Pools pools;
     const auto configs = testConfigs();
-    const auto modes = runnableModes();
     for (int cpus : {1, 3, 8}) {
         Workload w(cpus, 200 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
@@ -270,14 +247,12 @@ TEST(ReplayEngine, MatchesThreeCsAndStreamBufferOracles)
                     }
                 };
             for (support::ThreadPool* pool : pools.all) {
-                for (SimdMode mode : modes) {
-                    expect_threec(
-                        replayThreeCs(soa, configs, mode, pool),
-                        modeLabel(mode));
-                    expect_sbuf(replayStreamBuffer(soa, configs, 4,
-                                                   mode, pool),
-                                modeLabel(mode));
-                }
+                expect_threec(
+                    replayThreeCs(soa, configs, SimdMode::Auto, pool),
+                    "soa");
+                expect_sbuf(replayStreamBuffer(soa, configs, 4,
+                                               SimdMode::Auto, pool),
+                            "soa");
             }
         }
     }
@@ -324,7 +299,6 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
     Pools pools;
     const std::vector<ITlbSpec> specs = {
         {16, 4 * 1024, 32}, {64, 8 * 1024, 64}, {128, 8 * 1024, 128}};
-    const auto modes = runnableModes();
     for (int cpus : {1, 4}) {
         Workload w(cpus, 400 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
@@ -334,19 +308,13 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
             for (const auto& spec : specs)
                 oracle.push_back(w.rep.itlb(spec, filter));
             for (support::ThreadPool* pool : pools.all) {
-                // The iTLB kernel is the same scalar walk under every
-                // mode; replaying under each pins that equivalence.
-                for (SimdMode mode : modes) {
-                    auto col = replayITlb(soa, specs, mode, pool);
-                    ASSERT_EQ(col.size(), oracle.size());
-                    for (std::size_t i = 0; i < specs.size(); ++i) {
-                        EXPECT_EQ(col[i].accesses, oracle[i].accesses)
-                            << modeLabel(mode) << " cpus " << cpus
-                            << " spec " << i;
-                        EXPECT_EQ(col[i].misses, oracle[i].misses)
-                            << modeLabel(mode) << " cpus " << cpus
-                            << " spec " << i;
-                    }
+                auto col = replayITlb(soa, specs, SimdMode::Auto, pool);
+                ASSERT_EQ(col.size(), oracle.size());
+                for (std::size_t i = 0; i < specs.size(); ++i) {
+                    EXPECT_EQ(col[i].accesses, oracle[i].accesses)
+                        << "cpus " << cpus << " spec " << i;
+                    EXPECT_EQ(col[i].misses, oracle[i].misses)
+                        << "cpus " << cpus << " spec " << i;
                 }
             }
         }
@@ -473,13 +441,12 @@ TEST(ReplayEngine, EmptyColumnsReturnEmpty)
     const obs::Counter& shards = obs::counter("sim.replay.shards");
     for (support::ThreadPool* pool : pools.all) {
         const std::uint64_t before = shards.value();
-        for (SimdMode mode : runnableModes()) {
-            EXPECT_TRUE(replayICache(soa, caches, mode, pool).empty());
-            EXPECT_TRUE(replayThreeCs(soa, caches, mode, pool).empty());
-            EXPECT_TRUE(
-                replayStreamBuffer(soa, caches, 4, mode, pool).empty());
-            EXPECT_TRUE(replayITlb(soa, specs, mode, pool).empty());
-        }
+        const SimdMode mode = SimdMode::Auto;
+        EXPECT_TRUE(replayICache(soa, caches, mode, pool).empty());
+        EXPECT_TRUE(replayThreeCs(soa, caches, mode, pool).empty());
+        EXPECT_TRUE(
+            replayStreamBuffer(soa, caches, 4, mode, pool).empty());
+        EXPECT_TRUE(replayITlb(soa, specs, mode, pool).empty());
         for (bool flag : {false, true}) {
             EXPECT_TRUE(replayInstrumented(soa, caches, flag, pool).empty());
             EXPECT_TRUE(

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and differential tests for the SoA resolved trace (sim/soa.hh)
- * and the SIMD kernel dispatch (sim/kernels.hh):
+ * and the SoA i-cache kernel (sim/kernels_detail.hh):
  *
  *  - Replayer::resolveSoA matches, column by column, a walk of the
  *    raw trace written out in the test: every stream filter, with and
@@ -10,25 +10,22 @@
  *  - Every field of resolveSoA's output keeps its contract on the
  *    columns alone: partitions, owners per filter, flags, instruction
  *    bytes against instrs, and per-CPU Data refs against data_refs.
- *  - resolveKernel is a pure function of CPUID: Auto picks AVX2
- *    exactly when simdAvailable(), says so with a "cpuid:" reason,
- *    returns the same choice on every call, and ignores the retired
- *    kernel-override environment variable; explicit modes are
- *    honored, and forcing AVX2 on a host that cannot run it dies
- *    instead of silently falling back.
- *  - The i-cache kernels match the scalar Replayer oracle on geometry
- *    the vector fast paths do NOT cover (3-way and 6-way sets take the
- *    generic scalar probe inside the vector builds) mixed with
- *    geometry they do (direct-mapped, 4-way, 8-way), across several
- *    line sizes in one fused column — so group construction, the
- *    span-segmented DM probes, and the per-assoc dispatch all get
- *    exercised in a single replay, under every runnable kernel, with
- *    no pool, 2 threads and 8 threads.
+ *  - ColumnAlloc keeps a column's data as it grows from a malloc
+ *    block into its own 2 MB-aligned mappings.
+ *  - The source-compatibility shim of sim/kernels.hh: resolveKernel
+ *    (SimdMode::Auto) is the scalar kernel, with the same reason on
+ *    every call.
+ *  - The i-cache kernel matches the scalar Replayer oracle on odd
+ *    associativities (3-way, 6-way) mixed with direct-mapped, 2-, 4-
+ *    and 8-way geometry, across several line sizes in one fused
+ *    column — so group construction, the nested-mask DM probes and
+ *    the set-associative probes all get exercised in a single replay,
+ *    with no pool, 2 threads and 8 threads.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,44 +42,6 @@ using program::EdgeKind;
 using program::ProcedureBuilder;
 using program::Program;
 using program::Terminator;
-
-/**
- * Name of the retired kernel-override environment variable. Nothing
- * reads it any more; the dispatch test sets it to show that a stale
- * setting cannot sway the CPUID rule. Spelled in two pieces so that a
- * search for the name finds no live use of it.
- */
-constexpr const char* kRetiredSimdEnv = "SPIKESIM_"
-                                        "SIMD";
-
-/** RAII guard: sets/unsets kRetiredSimdEnv and restores it on exit. */
-class SimdEnvGuard
-{
-  public:
-    explicit SimdEnvGuard(const char* value)
-    {
-        const char* old = std::getenv(kRetiredSimdEnv);
-        had_old_ = old != nullptr;
-        if (had_old_)
-            old_ = old;
-        if (value == nullptr)
-            ::unsetenv(kRetiredSimdEnv);
-        else
-            ::setenv(kRetiredSimdEnv, value, 1);
-    }
-
-    ~SimdEnvGuard()
-    {
-        if (had_old_)
-            ::setenv(kRetiredSimdEnv, old_.c_str(), 1);
-        else
-            ::unsetenv(kRetiredSimdEnv);
-    }
-
-  private:
-    bool had_old_ = false;
-    std::string old_;
-};
 
 /**
  * A program of `blocks` random-sized blocks (paired into procs). With
@@ -402,57 +361,47 @@ TEST(ResolvedTraceSoA, TransposeIsFieldExact)
     }
 }
 
-TEST(SimdDispatch, ResolveHonorsExplicitAndAutoModes)
+TEST(ColumnAlloc, BigColumnsAreAlignedMappingsThatKeepTheirData)
 {
-    const KernelKind want =
-        simdAvailable() ? KernelKind::Avx2 : KernelKind::Scalar;
-    const KernelChoice first = resolveKernel(SimdMode::Auto);
-    EXPECT_EQ(first.kind, want) << first.reason;
-    EXPECT_EQ(first.reason.rfind("cpuid:", 0), 0u) << first.reason;
-    EXPECT_NE(first.reason.find(kernelName(want)), std::string::npos)
-        << first.reason;
-    // Deterministic: repeated calls, and a stale kRetiredSimdEnv of
-    // any value, leave the choice and its reason unchanged.
-    const char* const envs[] = {nullptr, "0", "junk"};
-    for (const char* env : envs) {
-        SimdEnvGuard guard(env);
-        const std::string what = env != nullptr ? env : "unset";
-        for (int rep = 0; rep < 3; ++rep) {
-            const KernelChoice c = resolveKernel(SimdMode::Auto);
-            EXPECT_EQ(c.kind, first.kind) << what;
-            EXPECT_EQ(c.reason, first.reason) << what;
+    // Growing by push_back moves the column from malloc to its own
+    // mapping at 2 MB, then from mapping to mapping; every move must
+    // keep the data, and every mapping must be 2 MB-aligned.
+    constexpr std::size_t kAlign = ColumnAlloc<char>::kHugeBytes;
+    const std::size_t n = 5 * kAlign / sizeof(std::uint64_t) + 3;
+    Column<std::uint64_t> col;
+    for (std::size_t i = 0; i < n; ++i) {
+        col.push_back(i * 0x9e3779b97f4a7c15ULL);
+        if (col.capacity() * sizeof(std::uint64_t) >= kAlign) {
+            ASSERT_EQ(reinterpret_cast<std::uintptr_t>(col.data()) % kAlign,
+                      0u)
+                << "capacity " << col.capacity();
         }
     }
-    // Explicit modes are the caller's word.
-    const KernelChoice scalar = resolveKernel(SimdMode::Scalar);
-    EXPECT_EQ(scalar.kind, KernelKind::Scalar);
-    EXPECT_NE(scalar.reason.find("forced by caller"), std::string::npos)
-        << scalar.reason;
-    if (simdAvailable()) {
-        EXPECT_EQ(resolveKernel(SimdMode::Simd).kind, KernelKind::Avx2);
-        // Available implies compiled.
-        EXPECT_TRUE(simdKernelsCompiled());
-    }
-    EXPECT_STREQ(kernelName(KernelKind::Scalar), "scalar");
-    EXPECT_STREQ(kernelName(KernelKind::Avx2), "avx2");
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(col[i], i * 0x9e3779b97f4a7c15ULL) << i;
+    col.clear();
+    col.shrink_to_fit();
+    EXPECT_EQ(col.capacity(), 0u);
 }
 
-TEST(SimdDispatchDeathTest, ForcingSimdWithoutSupportDies)
+TEST(SimdDispatch, ResolveHonorsExplicitAndAutoModes)
 {
-    if (simdAvailable())
-        GTEST_SKIP() << "host can run the AVX2 kernels";
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(resolveKernel(SimdMode::Simd),
-                 "SIMD kernels requested but unavailable");
+    const KernelChoice first = resolveKernel(SimdMode::Auto);
+    EXPECT_EQ(first.kind, KernelKind::Scalar) << first.reason;
+    EXPECT_FALSE(first.reason.empty());
+    for (int rep = 0; rep < 3; ++rep) {
+        const KernelChoice c = resolveKernel(SimdMode::Auto);
+        EXPECT_EQ(c.kind, KernelKind::Scalar);
+        EXPECT_EQ(c.reason, first.reason);
+    }
+    EXPECT_STREQ(kernelName(KernelKind::Scalar), "scalar");
 }
 
 /**
- * Mixed geometry fuzz: odd associativities (3-way, 6-way) ride the
- * generic probe inside the AVX2 build, 4-way and 8-way take the vector
- * set probes, direct-mapped configs of several line sizes take the
- * span-segmented iota probes — all fused into one column so the
- * line-size groups and the nested-mask DM inclusion fast path are in
- * play.
+ * Mixed geometry fuzz: odd associativities (3-way, 6-way) next to
+ * direct-mapped configs of several line sizes and 2-, 4- and 8-way
+ * sets, all fused into one column so the line-size groups and the
+ * nested-mask DM inclusion fast path are in play.
  */
 TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
 {
@@ -461,9 +410,6 @@ TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
         {48 * 1024, 64, 3},  {64 * 1024, 128, 4}, {24 * 1024, 32, 6},
         {64 * 1024, 128, 8}, {32 * 1024, 256, 1}, {128 * 1024, 256, 4},
     };
-    std::vector<SimdMode> modes{SimdMode::Scalar};
-    if (simdAvailable())
-        modes.push_back(SimdMode::Simd);
     support::ThreadPool narrow(2);
     support::ThreadPool wide(8);
     std::vector<support::ThreadPool*> pools{nullptr, &narrow, &wide};
@@ -475,28 +421,25 @@ TEST(SimdKernels, OddAssocAndMixedGeometryMatchOracle)
             std::vector<ICacheReplayResult> oracle;
             for (const auto& c : configs)
                 oracle.push_back(w.rep.icache(c, filter));
-            for (SimdMode mode : modes) {
-                for (support::ThreadPool* p : pools) {
-                    auto col = replayICache(soa, configs, mode, p);
-                    ASSERT_EQ(col.size(), oracle.size());
-                    for (std::size_t i = 0; i < oracle.size(); ++i) {
-                        EXPECT_EQ(col[i].accesses, oracle[i].accesses)
-                            << "cfg " << i;
-                        EXPECT_EQ(col[i].misses, oracle[i].misses)
-                            << "cfg " << i;
-                        EXPECT_EQ(col[i].app_misses,
-                                  oracle[i].app_misses)
-                            << "cfg " << i;
-                        EXPECT_EQ(col[i].kernel_misses,
-                                  oracle[i].kernel_misses)
-                            << "cfg " << i;
-                        for (int m = 0; m < 2; ++m)
-                            for (int v = 0; v < 3; ++v)
-                                EXPECT_EQ(
-                                    col[i].interference.counts[m][v],
-                                    oracle[i].interference.counts[m][v])
-                                    << "cfg " << i;
-                    }
+            for (support::ThreadPool* p : pools) {
+                auto col =
+                    replayICache(soa, configs, SimdMode::Auto, p);
+                ASSERT_EQ(col.size(), oracle.size());
+                for (std::size_t i = 0; i < oracle.size(); ++i) {
+                    EXPECT_EQ(col[i].accesses, oracle[i].accesses)
+                        << "cfg " << i;
+                    EXPECT_EQ(col[i].misses, oracle[i].misses)
+                        << "cfg " << i;
+                    EXPECT_EQ(col[i].app_misses, oracle[i].app_misses)
+                        << "cfg " << i;
+                    EXPECT_EQ(col[i].kernel_misses,
+                              oracle[i].kernel_misses)
+                        << "cfg " << i;
+                    for (int m = 0; m < 2; ++m)
+                        for (int v = 0; v < 3; ++v)
+                            EXPECT_EQ(col[i].interference.counts[m][v],
+                                      oracle[i].interference.counts[m][v])
+                                << "cfg " << i;
                 }
             }
         }

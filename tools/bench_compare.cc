@@ -78,7 +78,6 @@ constexpr Rule kRules[] = {
     // Identity / environment: informational, never gated.
     {"args*", Direction::Info},
     {"binary", Direction::Info},
-    {"*simd_kernel*", Direction::Info},
     {"*perf.*", Direction::Info},
     {"phases*", Direction::Info},
     {"*reason*", Direction::Info},

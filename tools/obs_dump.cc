@@ -332,11 +332,9 @@ checkServing(BenchChecker& c)
     }
 }
 
-/** Field checks specific to BENCH_replay.json (the SoA/SIMD replay
- *  micro-bench). The avx2 keys (soa_avx2_seconds,
- *  family_avx2_icache_seconds, ...) depend on the host's SIMD support,
- *  so only the always-present fields are required: the headline, the
- *  scalar i-cache column and the one-kernel family columns. */
+/** Field checks specific to BENCH_replay.json (the SoA replay
+ *  micro-bench): the headline, the fig04 grid through the SoA kernel
+ *  and through the LRU-stack sweep, and the per-family columns. */
 void
 checkReplay(BenchChecker& c)
 {
@@ -348,13 +346,13 @@ checkReplay(BenchChecker& c)
           "pooled_threads", "soa_scalar_vs_oracle",
           "pooled_vs_soa_scalar", "end_to_end_speedup",
           "resolve_seconds", "icache_grid_configs",
-          "icache_grid_soa_scalar_seconds", "family_scalar_icache_seconds",
+          "icache_grid_soa_scalar_seconds", "icache_grid_sweep_seconds",
+          "family_scalar_icache_seconds",
           "family_threec_seconds", "family_streambuf_seconds",
           "family_itlb_seconds"})
         c.number(doc, "top level", key);
     c.string(doc, "top level", "simd_kernel");
     c.string(doc, "top level", "simd_kernel_reason");
-    c.boolean(doc, "top level", "avx2_available");
     c.boolean(doc, "top level", "differential_ok");
 }
 
