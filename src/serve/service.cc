@@ -33,7 +33,7 @@ std::vector<std::pair<std::size_t, std::size_t>>
 ServiceModel::segments(const trace::TraceBuffer& trace)
 {
     std::vector<std::pair<std::size_t, std::size_t>> segs;
-    const auto events = trace.events();
+    const auto& events = trace.events();
     std::size_t start = 0;
     for (std::size_t i = 1; i < events.size(); ++i)
         if (events[i].process != events[i - 1].process) {
@@ -57,7 +57,7 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
     const std::size_t tenants =
         static_cast<std::size_t>(config.tenants);
     const auto segs = segments(trace);
-    const auto events = trace.events();
+    const auto& events = trace.events();
 
     // Private L1 I/D per (tenant, cpu); shared L2 + iTLB per cpu. The
     // flat state of the hierarchy replay kernel: only the outcomes are

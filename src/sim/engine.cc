@@ -12,14 +12,10 @@ namespace spikesim::sim {
 
 namespace {
 
-constexpr std::uint8_t kOwnerDataByte =
-    static_cast<std::uint8_t>(mem::Owner::Data);
-
 inline std::size_t
 shardRefCount(const ResolvedTraceSoA& trace, int cpu)
 {
-    const auto [b, e] = trace.cpuRange(cpu);
-    return e - b;
+    return trace.cpu_refs[static_cast<std::size_t>(cpu)];
 }
 
 /**
@@ -40,7 +36,7 @@ forEachShard(const ResolvedTraceSoA& trace, std::size_t n_cfg,
 {
     if (n_cfg == 0)
         return;
-    const int n_cpu = trace.num_cpus;
+    const int n_cpu = trace.stream.num_cpus;
     // Bulk-add the replayed ref count once per shard walk — never
     // per-ref inside the fused loops, which must stay counter-free.
     static obs::Counter& c_refs = obs::counter("sim.replay.refs");
@@ -92,7 +88,7 @@ replayShards(const ResolvedTraceSoA& soa, std::span<const Config> configs,
              const Merge& merge)
 {
     const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
+    const std::size_t n_cpu = static_cast<std::size_t>(soa.stream.num_cpus);
     std::vector<Out> partial(n_cfg * n_cpu);
 
     forEachShard(soa, n_cfg, pool,
@@ -223,22 +219,26 @@ replayHierarchy(const ResolvedTraceSoA& soa,
                 bool model_coherence, support::ThreadPool* pool)
 {
     const std::size_t n_cfg = configs.size();
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
+    const std::size_t n_cpu = static_cast<std::size_t>(soa.stream.num_cpus);
     std::vector<std::uint64_t> instrs_cpu(n_cpu, 0);
     std::vector<std::uint64_t> breaks_cpu(n_cpu, 0);
     std::vector<std::uint64_t> comm(n_cfg, 0);
 
-    if (model_coherence && !soa.data_refs.empty()) {
+    const Column<std::uint32_t>& words = soa.stream.data_words;
+    const Column<std::uint8_t>& cpus = soa.stream.data_cpus;
+    if (model_coherence && !words.empty()) {
         auto coherence = [&](std::size_t k) {
             const std::uint64_t dline = configs[k].l1d.line_bytes;
             std::unordered_map<std::uint64_t, std::uint8_t> data_owner;
             std::uint64_t misses = 0;
-            for (const ResolvedDataRef& d : soa.data_refs) {
-                const std::uint64_t line = d.addr & ~(dline - 1);
-                auto [it, fresh] = data_owner.try_emplace(line, d.cpu);
-                if (!fresh && it->second != d.cpu) {
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                const std::uint64_t line =
+                    (static_cast<std::uint64_t>(words[i]) << 2) &
+                    ~(dline - 1);
+                auto [it, fresh] = data_owner.try_emplace(line, cpus[i]);
+                if (!fresh && it->second != cpus[i]) {
                     ++misses;
-                    it->second = d.cpu;
+                    it->second = cpus[i];
                 }
             }
             comm[k] = misses;
@@ -283,7 +283,7 @@ replayHierarchy(const ResolvedTraceSoA& soa,
 metrics::SequenceStats
 replaySequence(const ResolvedTraceSoA& soa, support::ThreadPool* pool)
 {
-    const std::size_t n_cpu = static_cast<std::size_t>(soa.num_cpus);
+    const std::size_t n_cpu = static_cast<std::size_t>(soa.stream.num_cpus);
     std::vector<support::Histogram> partial(n_cpu,
                                             support::Histogram(34));
 
@@ -299,15 +299,12 @@ replaySequence(const ResolvedTraceSoA& soa, support::ThreadPool* pool)
             run = 0;
             expected = ~0ULL;
         };
-        const auto [begin, end_i] = soa.cpuRange(cpu);
-        for (std::size_t i = begin; i < end_i; ++i) {
-            if (soa.owner[i] == kOwnerDataByte)
-                continue;
-            const std::uint64_t addr = soa.addr[i];
-            if ((soa.flags[i] & kRefRunBreak) != 0 || addr != expected)
+        detail::InstrRefWalk refs(soa, cpu);
+        for (detail::InstrRef r; refs.next(r);) {
+            if (r.run_break || r.addr != expected)
                 close_run();
-            run += soa.bytes[i] / program::kInstrBytes;
-            expected = addr + soa.bytes[i];
+            run += (r.last_byte - r.addr + 1) / program::kInstrBytes;
+            expected = r.last_byte + 1;
         }
         close_run();
     });

@@ -13,9 +13,11 @@
 /**
  * @file
  * The production replay path: replays one CPU-partitioned
- * ResolvedTraceSoA (Replayer::resolveSoA) against many cache
+ * ResolvedTraceSoA (Replayer::resolveSoA: a BlockStream bound to one
+ * layout pair's block tables, sim/soa.hh) against many cache
  * configurations in a single fused walk per simulator family, sharded
- * across a thread pool by CPU. Every family has exactly one oracle —
+ * across a thread pool by CPU. Each walk gathers a ref's (addr, size)
+ * from the tables as it goes; the trace holds 4 bytes per ref. Every family has exactly one oracle —
  * the scalar per-config Replayer walk — and this one production path;
  * tests/replay_parallel_test.cc bit-compares the two.
  *
@@ -39,8 +41,9 @@
  * The single exception is the hierarchy coherence map (data_owner):
  * line-migration counting depends on the *global* order of data events
  * across CPUs. It is also independent of all cache state, so it runs
- * as its own sharded pass per configuration over
- * ResolvedTraceSoA::data_refs, which preserves that global order.
+ * as its own sharded pass per configuration over the stream's data
+ * column (BlockStream::data_words/data_cpus), which keeps that global
+ * order.
  *
  * Every family but the sequence analysis runs through one driver
  * (engine.cc): each (CPU, config-chunk) cell runs the family's kernel
@@ -101,7 +104,7 @@ replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
  * its data refs with its instruction refs in trace order — a CPU's
  * private L2 sees exactly that stream). With model_coherence, the
  * communication-miss count runs as a separate per-config pass over the
- * global-order data_refs (see the file comment).
+ * global-order data column (see the file comment).
  */
 std::vector<HierarchyReplayResult>
 replayHierarchy(const ResolvedTraceSoA& soa,
@@ -111,9 +114,9 @@ replayHierarchy(const ResolvedTraceSoA& soa,
 
 /**
  * Sequential-run-length analysis (Figure 8) from a resolved trace:
- * kRefRunBreak flags carry the filtered-out-image run breaks the raw
- * stream would have shown, and instr_events/instrs supply the dynamic
- * block-size mean. Bit-identical to metrics::sequenceLengths on the
+ * kRunBreakTag bits carry the filtered-out-image run breaks the raw
+ * stream would have shown (past zero-sized blocks too), and
+ * instr_events/instrs supply the dynamic block-size mean. Bit-identical to metrics::sequenceLengths on the
  * raw trace for the matching single-image filter.
  */
 metrics::SequenceStats

@@ -20,17 +20,22 @@
  * @file
  * The fused replay kernels, one per simulator family, and the pieces
  * they share. sim/engine.cc runs each kernel on detail::Shard cells
- * (one CPU's slice, one config chunk); every kernel overwrites its
- * cell's outputs and nothing else.
+ * (one CPU's slice of a ResolvedTraceSoA, one config chunk); every
+ * kernel overwrites its cell's outputs and nothing else. A slice is
+ * tagged ids (sim/soa.hh): each kernel gathers a block ref's (addr,
+ * size) from the resolved trace's block tables, takes the owner from
+ * the kernel tag, and skips zero-sized blocks; the hierarchy kernel
+ * reads a data ref's word from the data column.
  *
  * The i-cache, three-C, stream-buffer, iTLB and instrumented kernels
  * are one walk with different probes. The shared pieces are cursors
  * that the kernels' own loops call, not callbacks: GCC kept probe
  * lambdas out of line, a call per ref.
  *
- *  - InstrRefWalk: the per-CPU instruction-ref walk. It streams the
- *    addr/bytes columns kRefPrefetch refs ahead, skips Owner::Data
- *    refs, and hands each ref over as its [addr, last_byte] range.
+ *  - InstrRefWalk: the per-CPU instruction-ref walk. It decodes the
+ *    slice a batch at a time (skipping data refs and zero-sized
+ *    blocks, carrying run breaks past the latter) and hands each ref
+ *    over as its [addr, last_byte] range.
  *
  *  - groupBySize: configs are grouped by line size (the iTLB: by fetch
  *    granularity), since configs of one line size step through the
@@ -67,7 +72,8 @@
  * semantics.
  *
  * The hierarchy kernel (data refs too, one L1 per group of equal L1
- * geometry) and the layout-pricing kernel keep their own walks; the
+ * geometry), sequence analysis (sim/engine.cc, on InstrRefWalk's run
+ * breaks) and the layout-pricing kernel keep their own loops; the
  * hierarchy's flat per-CPU state also backs serve::ServiceModel.
  */
 
@@ -77,8 +83,6 @@ inline constexpr std::uint64_t kInvalidTag = ~0ULL;
 /** Victim-owner code for an invalid (cold) entry. */
 inline constexpr std::uint8_t kOwnerCold = 2;
 
-/** How many refs ahead the column prefetches run. */
-inline constexpr std::size_t kRefPrefetch = 24;
 /** Lead (in refs) for the tag-line prefetch of the biggest DM table. */
 inline constexpr std::size_t kTagPrefetch = 4;
 
@@ -88,21 +92,26 @@ struct InstrRef
     std::uint64_t addr = 0;      ///< first byte
     std::uint64_t last_byte = 0; ///< last byte (inclusive)
     std::uint8_t owner = 0;      ///< mem::Owner::App or Owner::Kernel
-    /** Address kTagPrefetch refs ahead (this ref's near the end). */
-    std::uint64_t ahead = 0;
+    /** A filtered-out image's block event came between this ref and
+     *  the previous one (kRunBreakTag, carried past zero-sized
+     *  blocks). */
+    bool run_break = false;
 };
 
 /**
  * The per-CPU instruction-ref walk: next() yields CPU `cpu`'s
- * instruction refs in trace order, skipping Owner::Data refs and
- * streaming the addr/bytes columns kRefPrefetch refs ahead.
+ * non-empty block refs in trace order, each gathered from the
+ * resolved trace's block tables, skipping data refs and zero-sized
+ * blocks. A zero-sized block's run break carries to the next yielded
+ * ref; data refs leave it alone. Refs are decoded kBatch at a time
+ * into a small buffer in a tight loop of their own, which measured
+ * faster than gathering inside each family's loop.
  */
 class InstrRefWalk
 {
   public:
     InstrRefWalk(const ResolvedTraceSoA& soa, int cpu)
-        : addrs_(soa.addr.data()), sizes_(soa.bytes.data()),
-          owners_(soa.owner.data())
+        : ids_(soa.stream.ids.data()), app_(soa.app), kernel_(soa.kernel)
     {
         const auto [begin, end] = soa.cpuRange(cpu);
         i_ = begin;
@@ -113,32 +122,75 @@ class InstrRefWalk
     bool
     next(InstrRef& r)
     {
-        for (; i_ < end_; ++i_) {
-            // Prefetching one address pulls its whole cache line of
-            // packed 8-byte entries.
-            if (i_ + kRefPrefetch < end_) {
-                __builtin_prefetch(addrs_ + i_ + kRefPrefetch);
-                __builtin_prefetch(sizes_ + i_ + kRefPrefetch);
-            }
-            if (owners_[i_] == static_cast<std::uint8_t>(mem::Owner::Data))
-                continue;
-            r.addr = addrs_[i_];
-            r.last_byte = r.addr + sizes_[i_] - 1;
-            r.owner = owners_[i_];
-            r.ahead = addrs_[i_ + kTagPrefetch < end_ ? i_ + kTagPrefetch
-                                                     : i_];
-            ++i_;
-            return true;
-        }
-        return false;
+        if (pos_ == n_ && !refill())
+            return false;
+        r = buf_[pos_++];
+        return true;
+    }
+
+    /** The start address of the ref kTagPrefetch past the last one
+     *  yielded (that ref's own near the end of a batch): a prefetch
+     *  hint only. */
+    std::uint64_t
+    ahead() const
+    {
+        const std::size_t j = pos_ - 1 + kTagPrefetch;
+        return buf_[j < n_ ? j : pos_ - 1].addr;
     }
 
   private:
-    const std::uint64_t* addrs_;
-    const std::uint32_t* sizes_;
-    const std::uint8_t* owners_;
+    static constexpr std::size_t kBatch = 256;
+
+    /** Decode the next batch of refs; false when none is left. A batch
+     *  ends right after a yielded ref or at the end of the slice, so no
+     *  run break is ever pending from one batch to the next. */
+    bool
+    refill()
+    {
+        const std::uint32_t* ids = ids_;
+        const BlockTables app = app_;
+        const BlockTables kernel = kernel_;
+        std::uint32_t pending = 0;
+        std::size_t i = i_;
+        std::size_t n = 0;
+        for (; i < end_ && n < kBatch; ++i) {
+            const std::uint32_t id = ids[i];
+            if ((id & kDataRefTag) != 0)
+                continue;
+            pending |= id & kRunBreakTag;
+            const bool is_kernel = (id & kKernelBlockTag) != 0;
+            const BlockTables& img = is_kernel ? kernel : app;
+            const std::uint32_t g = id & kBlockIdMask;
+            const std::uint32_t size = img.size[g];
+            // Written unconditionally; a zero-sized block is dropped by
+            // not advancing n, and keeps its run break pending.
+            InstrRef& r = buf_[n];
+            r.addr = img.addr[g];
+            r.last_byte = r.addr +
+                          static_cast<std::uint64_t>(size) *
+                              program::kInstrBytes -
+                          1;
+            r.owner = static_cast<std::uint8_t>(
+                is_kernel ? mem::Owner::Kernel : mem::Owner::App);
+            r.run_break = pending != 0;
+            const bool keep = size != 0;
+            n += keep ? 1 : 0;
+            pending = keep ? 0 : pending;
+        }
+        i_ = i;
+        n_ = n;
+        pos_ = 0;
+        return n != 0;
+    }
+
+    const std::uint32_t* ids_;
+    BlockTables app_;
+    BlockTables kernel_;
     std::size_t i_ = 0;
     std::size_t end_ = 0;
+    std::size_t pos_ = 0;
+    std::size_t n_ = 0;
+    std::array<InstrRef, kBatch> buf_;
 };
 
 /** A cache config's line size, once its geometry checks out. */
@@ -433,6 +485,7 @@ runIcacheShardImpl(const IcacheShard& sh)
         const unsigned m =
             r.owner == static_cast<std::uint8_t>(mem::Owner::App) ? 0u
                                                                    : 1u;
+        const std::uint64_t ahead = refs.ahead();
         for (LineGroup& g : groups) {
             // Cover the probe latency of the biggest (least
             // cache-resident) direct-mapped table with a short-lead
@@ -441,7 +494,7 @@ runIcacheShardImpl(const IcacheShard& sh)
                 const DmMember& big = g.dm[g.dm_big];
                 __builtin_prefetch(
                     &g.dm_tags[big.offset +
-                               ((r.ahead >> g.shift) & big.mask)]);
+                               ((ahead >> g.shift) & big.mask)]);
             }
             const LineSpan span = g.step(r.addr, r.last_byte);
             for (std::uint64_t ln = span.first; ln <= span.last; ++ln) {
@@ -1463,20 +1516,18 @@ runHierarchyShardImpl(
     }
 
     const auto [begin, end] = soa.cpuRange(sh.cpu);
-    const std::uint64_t* addrs = soa.addr.data();
-    const std::uint32_t* sizes = soa.bytes.data();
-    const std::uint8_t* owners = soa.owner.data();
+    const std::uint32_t* ids = soa.stream.ids.data();
+    const std::uint32_t* data_words = soa.stream.data_words.data();
     std::uint64_t expected = ~0ULL;
     std::uint64_t n_instrs = 0;
     std::uint64_t breaks = 0;
 
     for (std::size_t i = begin; i < end; ++i) {
-        if (i + kRefPrefetch < end) {
-            __builtin_prefetch(addrs + i + kRefPrefetch);
-            __builtin_prefetch(sizes + i + kRefPrefetch);
-        }
-        const std::uint64_t addr = addrs[i];
-        if (owners[i] == static_cast<std::uint8_t>(mem::Owner::Data)) {
+        const std::uint32_t id = ids[i];
+        if ((id & kDataRefTag) != 0) {
+            const std::uint64_t addr =
+                static_cast<std::uint64_t>(data_words[id & kBlockIdMask])
+                << 2;
             for (HierarchyGroup& g : groups) {
                 const std::uint32_t shift = g.l1.dcache.shift();
                 const std::uint64_t ln = addr >> shift;
@@ -1491,8 +1542,15 @@ runHierarchyShardImpl(
             }
             continue;
         }
-        const std::uint64_t last_byte = addr + sizes[i] - 1;
-        n_instrs += sizes[i] / program::kInstrBytes;
+        const BlockTables& img = tablesFor(id, soa.app, soa.kernel);
+        const std::uint32_t size = img.size[id & kBlockIdMask];
+        if (size == 0)
+            continue;
+        const std::uint64_t addr = img.addr[id & kBlockIdMask];
+        const std::uint64_t last_byte =
+            addr + static_cast<std::uint64_t>(size) * program::kInstrBytes -
+            1;
+        n_instrs += size;
         if (addr != expected)
             ++breaks;
         expected = last_byte + 1;
@@ -1541,8 +1599,9 @@ runHierarchyShardImpl(
 //
 // Prices one candidate layout on one CPU's slice of a BlockStream (see
 // sim/soa.hh) in a single walk: each tagged block id gathers its
-// (addr, size) from the layout's block tables, zero-sized blocks are
-// skipped, and every remaining ref feeds one stats-only FlatCache plus
+// (addr, size) from the layout's block tables (the run-break tag is
+// masked off: pricing has no runs), zero-sized blocks are skipped, and
+// every remaining ref feeds one stats-only FlatCache plus
 // the iTLB groups. The cache follows the i-cache kernel's repeat-line
 // rule (a repeat of the last fetched line is its set's MRU entry: a
 // hit with no state change) and each iTLB group its own, exactly as
@@ -1551,37 +1610,13 @@ runHierarchyShardImpl(
 // the cache's line loop instead of re-walking the ref.
 // ---------------------------------------------------------------------
 
-/** One image's block tables under a layout, by global block id. */
-struct PriceImage
-{
-    const std::uint64_t* addr = nullptr;
-    const std::uint32_t* size = nullptr; ///< instructions
-};
-
-/** A layout's block tables for a walk over a BlockStream, checked to
- *  cover the stream's `blocks` ids of that image (empty when the
- *  stream has none; `layout` may then be null). */
-inline PriceImage
-imageTables(const core::Layout* layout, std::uint32_t blocks)
-{
-    if (blocks == 0)
-        return {};
-    SPIKESIM_ASSERT(layout != nullptr,
-                    "replaying kernel events requires a kernel layout");
-    SPIKESIM_ASSERT(blocks <= layout->blockSizes().size(),
-                    "layout covers " << layout->blockSizes().size()
-                                     << " blocks, stream needs "
-                                     << blocks);
-    return {layout->blockAddrs().data(), layout->blockSizes().data()};
-}
-
 /** One CPU's pricing walk: inputs, and outputs written (not summed). */
 struct PriceShard
 {
     const std::uint32_t* ids = nullptr;
     std::size_t n = 0;
-    PriceImage app;
-    PriceImage kernel;
+    BlockTables app;
+    BlockTables kernel;
     const mem::CacheConfig* config = nullptr;
     const ITlbSpec* specs = nullptr;
     std::size_t n_specs = 0;
@@ -1610,9 +1645,8 @@ runPriceImpl(const PriceShard& sh)
     std::uint64_t misses = 0;
     for (std::size_t i = 0; i < sh.n; ++i) {
         const std::uint32_t id = sh.ids[i];
-        const PriceImage& img =
-            (id & kKernelBlockTag) != 0 ? sh.kernel : sh.app;
-        const std::uint32_t g = id & ~kKernelBlockTag;
+        const BlockTables& img = tablesFor(id, sh.app, sh.kernel);
+        const std::uint32_t g = id & kBlockIdMask;
         const std::uint32_t size = img.size[g];
         if (size == 0)
             continue;

@@ -15,20 +15,15 @@
  * @file
  * Layout-parametric ground truth: price many candidate layouts of one
  * image against one recorded trace. The trace is reduced once to a
- * BlockStream (sim/soa.hh), which holds no addresses, so no per-layout
- * resolve is needed. Each candidate is then priced in one fused walk
- * per CPU: i-cache misses on one configuration plus standalone-iTLB
- * misses per ITlbSpec. The results equal Replayer::icache and
+ * BlockStream (sim/soa.hh, buildBlockStream), which holds no
+ * addresses, so no per-layout resolve is needed. Each candidate is
+ * then priced in one fused walk per CPU: i-cache misses on one
+ * configuration plus standalone-iTLB misses per ITlbSpec. The results equal Replayer::icache and
  * Replayer::itlb on the same layouts; tests/price_test.cc fuzzes that
  * claim. opt::searchLayout prices every re-rank candidate this way.
  */
 
 namespace spikesim::sim {
-
-/** Reduce the filtered trace to its per-CPU block-id stream (two
- *  passes: count, then fill an exactly sized column). */
-BlockStream buildBlockStream(const trace::TraceBuffer& trace,
-                             StreamFilter filter);
 
 /** One layout's price: totals summed over the per-CPU caches/TLBs. */
 struct LayoutPrice

@@ -151,123 +151,30 @@ SweepResult::misses(std::uint32_t size_bytes, std::uint32_t line_bytes,
                          ait->second)];
 }
 
-const Replayer::ResolveCounts&
-Replayer::countsFor(StreamFilter filter, bool include_data) const
-{
-    const std::size_t key = static_cast<std::size_t>(filter) * 2 +
-                            (include_data ? 1 : 0);
-    SPIKESIM_ASSERT(key < counts_memo_.size(), "bad filter value");
-    {
-        std::lock_guard<std::mutex> lock(counts_mu_);
-        if (counts_memo_[key].has_value())
-            return *counts_memo_[key];
-    }
-
-    // The counting pass reads a dense one-byte emits-a-ref table per
-    // image (built here in one sweep over the block ids, L2-resident)
-    // instead of the 4-byte layout size table, and leaves the
-    // instruction accounting to the fill pass — which touches every
-    // qualifying block anyway — so this is a pure event-stream walk.
-    const auto refTable = [](const core::Layout& l) {
-        std::vector<std::uint8_t> t(l.prog().numBlocks());
-        for (std::uint32_t g = 0; g < t.size(); ++g)
-            t[g] = l.blockSize(g) != 0 ? 1 : 0;
-        return t;
-    };
-    const std::vector<std::uint8_t> app_ref = refTable(app_);
-    const std::vector<std::uint8_t> kernel_ref =
-        kernel_ != nullptr ? refTable(*kernel_)
-                           : std::vector<std::uint8_t>();
-    ResolveCounts rc;
-    rc.count.assign(static_cast<std::size_t>(num_cpus_), 0);
-    for (const TraceEvent& e : trace_.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data) {
-                ++rc.count[e.cpu];
-                ++rc.n_data;
-            }
-            continue;
-        }
-        if (!wantImage(filter, e.image))
-            continue;
-        if (e.image == ImageId::App) {
-            rc.count[e.cpu] += app_ref[e.block];
-        } else {
-            SPIKESIM_ASSERT(
-                kernel_ != nullptr,
-                "replaying kernel events requires a kernel layout");
-            rc.count[e.cpu] += kernel_ref[e.block];
-        }
-    }
-
-    std::lock_guard<std::mutex> lock(counts_mu_);
-    if (!counts_memo_[key].has_value())
-        counts_memo_[key] = std::move(rc);
-    return *counts_memo_[key];
-}
-
 ResolvedTraceSoA
 Replayer::resolveSoA(StreamFilter filter, bool include_data) const
 {
     ResolvedTraceSoA out;
-    out.num_cpus = num_cpus_;
-    const std::size_t n_cpus = static_cast<std::size_t>(num_cpus_);
-
-    // Pass 1 (memoized per filter): per-CPU ref counts plus the global
-    // data-event count, so every column and data_refs get one
-    // exact-size allocation (no growth reallocation anywhere in the
-    // resolve phase).
-    const ResolveCounts& rc = countsFor(filter, include_data);
-    const std::vector<std::size_t>& count = rc.count;
-    const std::size_t n_data = rc.n_data;
-
-    out.cpu_begin.assign(n_cpus + 1, 0);
-    for (std::size_t c = 0; c < n_cpus; ++c)
-        out.cpu_begin[c + 1] = out.cpu_begin[c] + count[c];
-    const std::size_t total = out.cpu_begin[n_cpus];
-    out.addr.resize(total);
-    out.bytes.resize(total);
-    out.owner.resize(total);
-    out.flags.resize(total);
-    out.data_refs.reserve(n_data);
-
-    // Pass 2: write each CPU's column slices in trace order (one
-    // cursor per CPU, 14 bytes per ref across the four columns),
-    // accumulating instr_events/instrs alongside.
-    std::vector<std::size_t> cursor(out.cpu_begin.begin(),
-                                    out.cpu_begin.end() - 1);
-    std::vector<std::uint8_t> pending(n_cpus, 0);
-    for (const TraceEvent& e : trace_.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data) {
-                const std::uint64_t addr =
-                    static_cast<std::uint64_t>(e.block) << 2;
-                const std::size_t i = cursor[e.cpu]++;
-                out.addr[i] = addr;
-                out.bytes[i] = 4;
-                out.owner[i] =
-                    static_cast<std::uint8_t>(mem::Owner::Data);
-                out.flags[i] = 0;
-                out.data_refs.push_back({addr, e.cpu});
+    out.stream = buildBlockStream(trace_, filter, include_data);
+    out.app = detail::imageTables(&app_, out.stream.app_blocks);
+    out.kernel = detail::imageTables(kernel_, out.stream.kernel_blocks);
+    out.cpu_refs.assign(static_cast<std::size_t>(out.stream.num_cpus), 0);
+    for (int c = 0; c < out.stream.num_cpus; ++c) {
+        const auto [b, e] = out.stream.cpuRange(c);
+        std::size_t& refs = out.cpu_refs[static_cast<std::size_t>(c)];
+        for (std::size_t i = b; i < e; ++i) {
+            const std::uint32_t id = out.stream.ids[i];
+            if ((id & kDataRefTag) != 0) {
+                ++refs;
+                continue;
             }
-            continue;
+            const std::uint32_t size =
+                detail::tablesFor(id, out.app, out.kernel)
+                    .size[id & kBlockIdMask];
+            ++out.instr_events;
+            out.instrs += size;
+            refs += size != 0 ? 1 : 0;
         }
-        if (!wantImage(filter, e.image)) {
-            pending[e.cpu] = kRefRunBreak;
-            continue;
-        }
-        const core::Layout& layout = layoutFor(e.image, app_, kernel_);
-        ++out.instr_events;
-        const std::uint32_t size = layout.blockSize(e.block);
-        out.instrs += size;
-        if (size == 0)
-            continue;
-        const std::size_t i = cursor[e.cpu]++;
-        out.addr[i] = layout.blockAddr(e.block);
-        out.bytes[i] = size * program::kInstrBytes;
-        out.owner[i] = static_cast<std::uint8_t>(ownerOf(e.image));
-        out.flags[i] = pending[e.cpu];
-        pending[e.cpu] = 0;
     }
     return out;
 }

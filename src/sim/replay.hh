@@ -1,10 +1,7 @@
 #ifndef SPIKESIM_SIM_REPLAY_HH
 #define SPIKESIM_SIM_REPLAY_HH
 
-#include <array>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -27,8 +24,11 @@
  * Replayer's per-config walks are the scalar oracle of every simulator
  * family: each family has this one oracle and one production path, the
  * SoA kernels of sim/engine.hh over a Replayer::resolveSoA trace (the
- * i-cache family also has the LRU-stack sweep, sim/sweep.hh). Tests
- * bit-compare every production path against these walks.
+ * i-cache family also has the LRU-stack sweep, sim/sweep.hh). All the
+ * production paths walk one trace form, the layout-independent
+ * BlockStream of sim/soa.hh, gathering addresses from the layouts'
+ * block tables. Tests bit-compare every production path against these
+ * walks.
  */
 
 namespace spikesim::sim {
@@ -55,23 +55,6 @@ wantImage(StreamFilter filter, trace::ImageId image)
     }
     return false;
 }
-
-/**
- * Flag bit on a resolved ref (ResolvedTraceSoA::flags): another
- * image's block event took this CPU's fetch unit since the previous
- * ref — a filtered-out kernel entry breaks a sequential run even when
- * the addresses abut.
- */
-inline constexpr std::uint8_t kRefRunBreak = 1;
-
-/** One data reference, kept in global trace order: the coherence model
- *  (Replayer::hierarchy with model_coherence) depends on the cross-CPU
- *  interleaving of data events, unlike every cache simulator. */
-struct ResolvedDataRef
-{
-    std::uint64_t addr = 0; ///< byte address of the referenced word
-    std::uint8_t cpu = 0;
-};
 
 /** The resolved trace Replayer::resolveSoA produces; defined in
  *  sim/soa.hh. */
@@ -254,16 +237,13 @@ class Replayer
                               StreamFilter filter) const;
 
     /**
-     * Resolve the filtered trace through the layouts once, straight
-     * into the column (SoA) form the production replay paths consume
-     * (sim/engine.hh): every block event becomes an (addr, bytes,
-     * owner, flags) record, grouped by CPU (see ResolvedTraceSoA).
-     * Zero-sized blocks are dropped from the columns but still counted
-     * in instr_events/instrs. Data events are dropped unless
-     * `include_data` is set, in which case they appear both in the
-     * per-CPU slices (owner == Data) and in data_refs in global order.
-     * Every column and data_refs is sized exactly from the first
-     * counting pass (no growth reallocation).
+     * The filtered trace in the form the production replay paths
+     * consume (sim/engine.hh): buildBlockStream(trace, filter,
+     * include_data) bound to this replayer's layouts' block tables
+     * (see ResolvedTraceSoA; the layouts must outlive the result).
+     * Zero-sized blocks stay in the stream, which is layout-
+     * independent; size() leaves them out and instr_events counts
+     * them, as the kernels and the oracle do.
      */
     ResolvedTraceSoA resolveSoA(StreamFilter filter,
                                 bool include_data = false) const;
@@ -306,28 +286,10 @@ class Replayer
     std::uint64_t dynamicInstrs(StreamFilter filter) const;
 
   private:
-    /** Per-CPU ref counts (and data-event total) for one (filter,
-     *  include_data) key — the sizing product of resolveSoA's counting
-     *  pass. A pure function of the immutable trace and layouts, so it
-     *  is computed once and memoized: benches and multi-family suites
-     *  resolve the same stream repeatedly, and the counting walk is
-     *  ~15% of the resolve phase. */
-    struct ResolveCounts
-    {
-        std::vector<std::size_t> count;
-        std::size_t n_data = 0;
-    };
-
-    const ResolveCounts& countsFor(StreamFilter filter,
-                                   bool include_data) const;
-
     const trace::TraceBuffer& trace_;
     const core::Layout& app_;
     const core::Layout* kernel_;
     int num_cpus_ = 1;
-    mutable std::mutex counts_mu_;
-    /** Memo slots indexed filter * 2 + include_data. */
-    mutable std::array<std::optional<ResolveCounts>, 6> counts_memo_;
 };
 
 } // namespace spikesim::sim

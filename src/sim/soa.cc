@@ -2,8 +2,11 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <new>
+
+#include "support/panic.hh"
 
 namespace spikesim::sim {
 
@@ -58,6 +61,80 @@ unmapColumn(void* p, std::size_t bytes) noexcept
     ::munmap(p, mappedBytes(bytes));
 }
 
+BlockTables
+imageTables(const core::Layout* layout, std::uint32_t blocks)
+{
+    if (blocks == 0)
+        return {};
+    SPIKESIM_ASSERT(layout != nullptr,
+                    "replaying kernel events requires a kernel layout");
+    SPIKESIM_ASSERT(blocks <= layout->blockSizes().size(),
+                    "layout covers " << layout->blockSizes().size()
+                                     << " blocks, stream needs "
+                                     << blocks);
+    return {layout->blockAddrs().data(), layout->blockSizes().data()};
+}
+
 } // namespace detail
+
+BlockStream
+buildBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,
+                 bool include_data)
+{
+    using trace::ImageId;
+    BlockStream out;
+    out.num_cpus = trace.numCpus();
+    const std::size_t n_cpus = static_cast<std::size_t>(out.num_cpus);
+
+    std::vector<std::size_t> count(n_cpus, 0);
+    std::size_t n_data = 0;
+    for (const trace::TraceEvent& e : trace.events()) {
+        if (e.image == ImageId::Data) {
+            if (include_data) {
+                ++count[e.cpu];
+                ++n_data;
+            }
+        } else if (wantImage(filter, e.image)) {
+            ++count[e.cpu];
+        }
+    }
+    SPIKESIM_ASSERT(n_data <= kBlockIdMask + std::size_t{1},
+                    n_data << " data events collide with the id tags");
+    out.cpu_begin.assign(n_cpus + 1, 0);
+    for (std::size_t c = 0; c < n_cpus; ++c)
+        out.cpu_begin[c + 1] = out.cpu_begin[c] + count[c];
+    out.ids.resize(out.cpu_begin[n_cpus]);
+    out.data_words.resize(n_data);
+    out.data_cpus.resize(n_data);
+
+    std::vector<std::size_t> cursor(out.cpu_begin.begin(),
+                                    out.cpu_begin.end() - 1);
+    std::vector<std::uint32_t> pending(n_cpus, 0);
+    std::uint32_t data = 0;
+    for (const trace::TraceEvent& e : trace.events()) {
+        if (e.image == ImageId::Data) {
+            if (include_data) {
+                out.data_words[data] = e.block;
+                out.data_cpus[data] = e.cpu;
+                out.ids[cursor[e.cpu]++] = data++ | kDataRefTag;
+            }
+            continue;
+        }
+        if (!wantImage(filter, e.image)) {
+            pending[e.cpu] = kRunBreakTag;
+            continue;
+        }
+        SPIKESIM_ASSERT(e.block <= kBlockIdMask,
+                        "block id " << e.block
+                                    << " collides with the id tags");
+        const bool kernel = e.image == ImageId::Kernel;
+        std::uint32_t& blocks = kernel ? out.kernel_blocks : out.app_blocks;
+        blocks = std::max(blocks, e.block + 1);
+        out.ids[cursor[e.cpu]++] =
+            e.block | pending[e.cpu] | (kernel ? kKernelBlockTag : 0u);
+        pending[e.cpu] = 0;
+    }
+    return out;
+}
 
 } // namespace spikesim::sim

@@ -9,17 +9,18 @@
 
 /**
  * @file
- * Structure-of-arrays resolved trace: the trace resolved through one
- * (app, kernel) layout pair (Replayer::resolveSoA), partitioned by CPU,
- * with addr/bytes/owner/flags stored as separate contiguous columns.
- * The replay hot loops consume one or two of the four fields per
- * family (the i-cache kernels read addr and bytes and only branch on
- * owner), so streaming a packed 8-byte addr column keeps the loads
- * dense and lets the hardware prefetcher see plain unit-stride
- * streams. It is the only resolved form: the SoA kernels are the one
- * production replay path and the scalar Replayer walks the one oracle
+ * The one compact trace form every production replay path walks. A
+ * BlockStream holds each CPU's events as 4-byte tagged ids: a global
+ * block id, or an index into a global-order data column. It holds no
+ * address, so it is built once per (filter, include_data) and priced
+ * under any layout by gathering each ref's (addr, size) from that
+ * layout's block tables at walk time: the i-cache sweep (sim/sweep.hh)
+ * and the search pricing (sim/price.hh) take the stream and the
+ * layouts; the SoA replay kernels (sim/engine.hh) take a
+ * ResolvedTraceSoA, the stream bound to one layout pair's tables. The
+ * scalar Replayer walks are the one oracle
  * (tests/replay_parallel_test.cc bit-compares the two for all seven
- * families; tests/soa_simd_test.cc checks resolveSoA column by column
+ * families; tests/soa_simd_test.cc decodes resolveSoA ref by ref
  * against a walk of the raw trace).
  */
 
@@ -102,71 +103,46 @@ struct ColumnAlloc : std::allocator<T>
 template <class T>
 using Column = std::vector<T, ColumnAlloc<T>>;
 
-/**
- * A trace pre-resolved through one (app, kernel) layout pair,
- * partitioned by CPU. Each record is one reference: the byte range
- * it touches (addr, bytes), which stream owns it, and its
- * kRefRunBreak flag. The instruction count of a block ref is bytes /
- * program::kInstrBytes (layouts place blocks at blockSize *
- * kInstrBytes bytes, so the two are locked together). Every cache
- * simulator's state is per-CPU, so replaying cpuRange(c) on its own
- * thread is bit-identical to the interleaved scalar walk — the
- * parallel replay engine (sim/engine.hh) rests on exactly this. When
- * resolved with include_data, each CPU's slice also carries that CPU's
- * data refs (owner == Data, 4 bytes) interleaved in trace order,
- * because a CPU's private L2 sees its instruction and data streams in
- * exactly that order; data_refs additionally keeps the global
- * data-event order for the coherence pass.
- */
-struct ResolvedTraceSoA
-{
-    Column<std::uint64_t> addr;
-    Column<std::uint32_t> bytes;
-    Column<std::uint8_t> owner; ///< mem::Owner as raw uint8
-    Column<std::uint8_t> flags; ///< kRefRunBreak etc.
-    /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]). */
-    std::vector<std::size_t> cpu_begin;
-    /** Data references in global trace order (include_data only). */
-    std::vector<ResolvedDataRef> data_refs;
-    int num_cpus = 1;
-    /** Filtered block events, including zero-sized blocks. */
-    std::uint64_t instr_events = 0;
-    /** Dynamic instructions: sum of block sizes over filtered events
-     *  (what Replayer::dynamicInstrs walks the raw trace for). */
-    std::uint64_t instrs = 0;
-
-    std::size_t size() const { return addr.size(); }
-
-    /** [begin, end) column index range owned by `cpu`. */
-    std::pair<std::size_t, std::size_t>
-    cpuRange(int cpu) const
-    {
-        if (cpu < 0 || cpu + 1 >= static_cast<int>(cpu_begin.size()))
-            return {0, 0};
-        return {cpu_begin[static_cast<std::size_t>(cpu)],
-                cpu_begin[static_cast<std::size_t>(cpu) + 1]};
-    }
-};
-
 /** Tag bit on a BlockStream id: the ref belongs to the kernel image. */
 inline constexpr std::uint32_t kKernelBlockTag = 1u << 31;
+/**
+ * Another image's block event took this CPU's fetch unit since its
+ * previous wanted-image block event: a filtered-out kernel entry
+ * breaks a sequential run even when the addresses abut. Only sequence
+ * analysis reads it; a walk that skips a zero-sized block carries the
+ * break on to the next non-empty one.
+ */
+inline constexpr std::uint32_t kRunBreakTag = 1u << 30;
+/** The ref is a data event; the bits below the tags index
+ *  BlockStream::data_words/data_cpus. */
+inline constexpr std::uint32_t kDataRefTag = 1u << 29;
+/** The bits below the tags: a global block id or a data index. Both
+ *  are asserted to fit when the stream is built. */
+inline constexpr std::uint32_t kBlockIdMask = kDataRefTag - 1;
 
 /**
- * The layout-independent half of a resolved trace: for one
- * StreamFilter, each CPU's block events as global block ids in trace
- * order, kernel-image refs tagged with kKernelBlockTag. Data events
- * and filtered-out images are dropped. Zero-sized blocks are kept,
- * because whether a block has bytes depends on the layout; a pricing
- * walk (sim/price.hh) gathers each ref's (addr, size) from a
- * candidate layout's tables and skips the empty ones, as
- * Replayer::resolveSoA does.
+ * The layout-independent form of a trace: for one StreamFilter, each
+ * CPU's events as 4-byte tagged ids in trace order. A block event is
+ * its global block id, tagged kKernelBlockTag for the kernel image and
+ * kRunBreakTag when it is the CPU's first wanted-image event after a
+ * filtered-out one. Zero-sized blocks are kept, because whether a
+ * block has bytes depends on the layout; a walk gathers each ref's
+ * (addr, size) from a layout's block tables (BlockTables) and skips
+ * the empty ones. With include_data, a data event is kDataRefTag plus
+ * its index into data_words/data_cpus, which hold every data event in
+ * global trace order: each CPU's private L2 sees its own data refs in
+ * its slice, and the coherence pass walks the global columns.
  */
 struct BlockStream
 {
-    /** Tagged block ids, grouped by CPU (exact size). */
+    /** Tagged ids, grouped by CPU (exact size). */
     Column<std::uint32_t> ids;
     /** Partition offsets: CPU c owns [cpu_begin[c], cpu_begin[c+1]). */
     std::vector<std::size_t> cpu_begin;
+    /** Data events in global trace order (include_data only): the
+     *  referenced word (byte address / 4) and the CPU. */
+    Column<std::uint32_t> data_words;
+    Column<std::uint8_t> data_cpus;
     int num_cpus = 1;
     /** One past the largest app / kernel block id referenced (0 when
      *  the image has no refs): the block tables a layout must cover. */
@@ -183,6 +159,86 @@ struct BlockStream
             return {0, 0};
         return {cpu_begin[static_cast<std::size_t>(cpu)],
                 cpu_begin[static_cast<std::size_t>(cpu) + 1]};
+    }
+};
+
+/**
+ * Reduce the filtered trace to its per-CPU tagged-id stream, data refs
+ * included when `include_data` is set (two passes: count, then fill
+ * exactly sized columns). Dies when a block id or the data-event count
+ * reaches the tag bits.
+ */
+BlockStream buildBlockStream(const trace::TraceBuffer& trace,
+                             StreamFilter filter,
+                             bool include_data = false);
+
+/** One image's block tables under a layout, by global block id: what a
+ *  walk over a BlockStream gathers each ref's (addr, size) from. */
+struct BlockTables
+{
+    const std::uint64_t* addr = nullptr;
+    const std::uint32_t* size = nullptr; ///< instructions
+};
+
+namespace detail {
+/** `layout`'s block tables, checked to cover a stream's `blocks` ids
+ *  of that image (empty when the stream has none; `layout` may then
+ *  be null). */
+BlockTables imageTables(const core::Layout* layout, std::uint32_t blocks);
+
+/** The tables a tagged block id gathers from: the kernel tag picks the
+ *  kernel image's. */
+inline const BlockTables&
+tablesFor(std::uint32_t id, const BlockTables& app,
+          const BlockTables& kernel)
+{
+    return (id & kKernelBlockTag) != 0 ? kernel : app;
+}
+} // namespace detail
+
+/**
+ * A trace resolved through one (app, kernel) layout pair
+ * (Replayer::resolveSoA): the filter's BlockStream plus the two
+ * layouts' block tables, from which every replay kernel gathers each
+ * ref's (addr, size) as it walks. The tables are borrowed, as Replayer
+ * borrows the layouts: both layouts must outlive this object (the
+ * Replayer that resolved it need not). Every cache simulator's state
+ * is per-CPU, so replaying cpuRange(c) on its own thread is
+ * bit-identical to the interleaved scalar walk — the parallel replay
+ * engine (sim/engine.hh) rests on exactly this. A block ref's
+ * instruction count is its table size and its bytes that times
+ * program::kInstrBytes (layouts place blocks at blockSize *
+ * kInstrBytes bytes); a data ref is one 4-byte word.
+ */
+struct ResolvedTraceSoA
+{
+    BlockStream stream;
+    BlockTables app;
+    BlockTables kernel;
+    /** Filtered block events, including zero-sized blocks. */
+    std::uint64_t instr_events = 0;
+    /** Dynamic instructions: sum of block sizes over filtered events
+     *  (what Replayer::dynamicInstrs walks the raw trace for). */
+    std::uint64_t instrs = 0;
+    /** Per CPU, the non-empty block refs plus data refs in its slice:
+     *  what the kernels replay of it. */
+    std::vector<std::size_t> cpu_refs;
+
+    /** Non-empty block refs plus data refs over all CPUs. */
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const std::size_t r : cpu_refs)
+            n += r;
+        return n;
+    }
+
+    /** [begin, end) index range of stream.ids owned by `cpu`. */
+    std::pair<std::size_t, std::size_t>
+    cpuRange(int cpu) const
+    {
+        return stream.cpuRange(cpu);
     }
 };
 

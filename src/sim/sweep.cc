@@ -195,7 +195,7 @@ struct CpuCounts
  */
 CpuCounts
 sweepCpu(const std::uint32_t* ids, std::size_t n,
-         const detail::PriceImage& app, const detail::PriceImage& kernel,
+         const BlockTables& app, const BlockTables& kernel,
          const SweepSpec& spec)
 {
     std::vector<LinePass> passes;
@@ -205,9 +205,8 @@ sweepCpu(const std::uint32_t* ids, std::size_t n,
 
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t id = ids[i];
-        const detail::PriceImage& img =
-            (id & kKernelBlockTag) != 0 ? kernel : app;
-        const std::uint32_t g = id & ~kKernelBlockTag;
+        const BlockTables& img = detail::tablesFor(id, app, kernel);
+        const std::uint32_t g = id & kBlockIdMask;
         const std::uint32_t size = img.size[g];
         if (size == 0)
             continue;
@@ -285,9 +284,9 @@ runSweepJobs(const trace::TraceBuffer& trace,
     std::uint64_t streamed = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const BlockStream& stream = streams[stream_of[j]];
-        const detail::PriceImage app =
+        const BlockTables app =
             detail::imageTables(jobs[j].app_layout, stream.app_blocks);
-        const detail::PriceImage kernel = detail::imageTables(
+        const BlockTables kernel = detail::imageTables(
             jobs[j].kernel_layout, stream.kernel_blocks);
         streamed += stream.size();
         for (std::size_t c = 0; c < n_cpus; ++c) {

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "profile/serialize.hh"
@@ -326,21 +330,36 @@ tinyParams()
     return p;
 }
 
-/** One shared generation + save, reused across the corpus tests. */
+/** One shared generation + save, reused across the corpus tests. The
+ *  directory is per process: ctest runs each case in its own process,
+ *  and siblings running in parallel must not read a file another one
+ *  is rewriting. Only the process that made it removes it: a death
+ *  test's forked child exits through the same destructor while its
+ *  parent still needs the files. */
 struct CorpusFixtureState
 {
     sim::CorpusParams params = tinyParams();
     sim::GeneratedWorkload gen;
     std::string dir;
     std::string path;
+    pid_t owner = ::getpid();
 
     CorpusFixtureState()
     {
         gen = sim::generateWorkload(params, nullptr);
-        dir = ::testing::TempDir() + "spikesim_corpus_test";
+        dir = ::testing::TempDir() + "spikesim_corpus_test." +
+              std::to_string(owner);
         std::filesystem::create_directories(dir);
         path = dir + "/" + sim::corpusFileName(params);
         sim::saveCorpus(params, *gen.profiles, gen.buf, path);
+    }
+
+    ~CorpusFixtureState()
+    {
+        if (::getpid() != owner)
+            return;
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
     }
 };
 

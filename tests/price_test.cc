@@ -161,7 +161,7 @@ TEST(PriceFuzz, MatchesReplayerOraclesOnPerturbedLayouts)
                 const core::Layout& kern = kerns[li];
                 for (std::uint32_t id : stream.ids) {
                     const bool kernel = (id & kKernelBlockTag) != 0;
-                    const std::uint32_t g = id & ~kKernelBlockTag;
+                    const std::uint32_t g = id & kBlockIdMask;
                     zero_sized_refs +=
                         (kernel ? kern : app).blockSize(g) == 0;
                 }
@@ -212,15 +212,21 @@ TEST(PriceFuzz, BlockStreamKeepsEachCpusFilteredRefsInTraceOrder)
         const BlockStream stream = buildBlockStream(w.buf, filter);
         ASSERT_EQ(stream.num_cpus, kCpus);
         std::vector<std::vector<std::uint32_t>> want(kCpus);
+        std::vector<std::uint32_t> pending(kCpus, 0);
         std::uint32_t app_blocks = 0, kernel_blocks = 0;
         for (const trace::TraceEvent& e : w.buf.events()) {
-            if (!wantImage(filter, e.image))
+            if (e.image == trace::ImageId::Data)
                 continue;
+            if (!wantImage(filter, e.image)) {
+                pending[e.cpu] = kRunBreakTag;
+                continue;
+            }
             const bool kernel = e.image == trace::ImageId::Kernel;
             (kernel ? kernel_blocks : app_blocks) = std::max(
                 kernel ? kernel_blocks : app_blocks, e.block + 1);
-            want[e.cpu].push_back(kernel ? e.block | kKernelBlockTag
-                                         : e.block);
+            want[e.cpu].push_back(
+                e.block | pending[e.cpu] | (kernel ? kKernelBlockTag : 0u));
+            pending[e.cpu] = 0;
         }
         for (int c = 0; c < kCpus; ++c) {
             const auto [b, e] = stream.cpuRange(c);
