@@ -2,11 +2,13 @@
 # byte for byte.
 #
 #   cmake -DGOLDEN=<golden> -DOUT=<file> [-DFROM_STDOUT=ON]
+#         [-DSTDOUT_GOLDEN=<golden>]
 #         -P compare_golden.cmake -- <command> [args...]
 #
 # With FROM_STDOUT the command's stdout is the output; otherwise the
 # command writes OUT itself (e.g. micro_replay --results-out OUT) and
-# its stdout goes to OUT.stdout. A non-zero exit or any byte of
+# its stdout goes to OUT.stdout, which is compared with STDOUT_GOLDEN
+# when that is given. A non-zero exit or any byte of
 # difference fails the test; a unified diff is printed when `diff` is
 # on the PATH. A change that legitimately moves a bench's output
 # re-records its golden and says so in CHANGES.md.
@@ -44,13 +46,20 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "command failed (${rc}): ${cmd}")
 endif()
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        "${GOLDEN}" "${OUT}"
-                RESULT_VARIABLE differs)
-if(differs)
-    find_program(DIFF diff)
-    if(DIFF)
-        execute_process(COMMAND ${DIFF} -u "${GOLDEN}" "${OUT}")
+function(compare golden out)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                            "${golden}" "${out}"
+                    RESULT_VARIABLE differs)
+    if(differs)
+        find_program(DIFF diff)
+        if(DIFF)
+            execute_process(COMMAND ${DIFF} -u "${golden}" "${out}")
+        endif()
+        message(FATAL_ERROR "${out} differs from the golden ${golden}")
     endif()
-    message(FATAL_ERROR "${OUT} differs from the golden ${GOLDEN}")
+endfunction()
+
+compare("${GOLDEN}" "${OUT}")
+if(STDOUT_GOLDEN AND NOT FROM_STDOUT)
+    compare("${STDOUT_GOLDEN}" "${stdout_file}")
 endif()
