@@ -553,8 +553,12 @@ BenchReplay::itlbColumn(std::span<const sim::ITlbSpec> specs,
             out.push_back(rep_.itlb(spec, filter));
         return out;
     }
-    return sim::replayITlb(resolved(filter, false), specs,
-                           sim::SimdMode::Auto, pool_);
+    if (specs.empty())
+        return {};
+    // One sweep job prices every spec of the column.
+    sim::SweepJob job{&rep_.app(), rep_.kernel(), filter, {}, ""};
+    job.spec.itlb.assign(specs.begin(), specs.end());
+    return sim::runSweepJobs(rep_.trace(), {job}, pool_)[0].itlb();
 }
 
 sim::HierarchyReplayResult

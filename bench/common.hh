@@ -259,12 +259,12 @@ sim::SweepSpec sweepSpecFor(std::span<const mem::CacheConfig> configs);
 /**
  * Replay dispatcher for the figure benches: one trace + layout pair,
  * replayed either by the scalar per-config Replayer walks (no pool —
- * the oracle) or by the production paths. Plain i-cache miss counts
- * come from one LRU-stack sweep job over the trace (sim/sweep.hh);
- * every other family, and the i-cache interference matrix, comes from
- * the SoA kernels of sim/engine.hh over a per-CPU-partitioned
- * structure-of-arrays trace (sim/soa.hh), resolved once per (filter,
- * data) key and cached. All paths produce bit-identical results, so
+ * the oracle) or by the production paths. Plain i-cache and
+ * standalone-iTLB miss counts come from one sweep job over the trace
+ * (sim/sweep.hh); every other family, and the i-cache interference
+ * matrix, comes from the SoA kernels of sim/engine.hh over a
+ * per-CPU-partitioned structure-of-arrays trace (sim/soa.hh), resolved
+ * once per (filter, data) key and cached. All paths produce bit-identical results, so
  * every bench table is byte-identical across `--threads` settings; a
  * column of configurations is priced by one fused walk.
  */
@@ -319,7 +319,7 @@ class BenchReplay
 
     sim::ITlbReplayResult itlb(const sim::ITlbSpec& spec,
                                sim::StreamFilter filter);
-    /** One fused walk pricing a column of iTLB geometries — the shared
+    /** One sweep job pricing a column of iTLB geometries — the shared
      *  path for every bench reporting standalone-iTLB columns (fig14,
      *  placement/layout-search ablations). */
     std::vector<sim::ITlbReplayResult>

@@ -23,6 +23,14 @@
  * concurrent writers from the replay engine's thread pool touch
  * different cache lines. Merging happens only on snapshot().
  *
+ * The simulator's work counters: `sim.replay.refs`/`sim.replay.shards`
+ * count the refs and shards the SoA shard driver (sim/engine.cc)
+ * walks, and `sim.sweep.jobs`/`sim.sweep.streamed_refs` count every
+ * sweep job (sim/sweep.hh) and the stream ids it walks: the figure
+ * grids, the benches' i-cache and iTLB columns, sim::replayITlb and
+ * each layout-search re-rank candidate. replayITlb adds to the sweep
+ * counters only.
+ *
  * Compile-time gate: building with -DSPIKESIM_OBS=0 turns every record
  * call into a no-op (the types stay so call sites don't ifdef), which
  * is how bench/micro_obs measures the compiled-out floor.

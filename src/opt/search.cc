@@ -13,7 +13,7 @@
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
 #include "opt/hierarchy.hh"
-#include "sim/price.hh"
+#include "sim/sweep.hh"
 #include "support/panic.hh"
 
 namespace spikesim::opt {
@@ -41,9 +41,9 @@ struct GtResult
     std::uint64_t itlb2m = 0;
 };
 
-/** Ground-truth evaluator: each uncached candidate is priced on the
- *  search's block stream (built once, here) with a fingerprint-keyed
- *  result cache. */
+/** Ground-truth evaluator: each uncached candidate is priced by one
+ *  serial sweep job on the search's block stream (built once, here),
+ *  with a fingerprint-keyed result cache. */
 class GroundTruth
 {
   public:
@@ -53,18 +53,20 @@ class GroundTruth
                 const core::Layout* kernel, const SearchOptions& sopts)
         : prog_(prog),
           aopts_(aopts),
-          kernel_(kernel),
-          config_(sopts.rerank_config)
+          kernel_(kernel)
     {
         if (trace != nullptr && sopts.rerank_every > 0) {
             obs::Span span("search.block_stream", "opt");
             stream_ = sim::buildBlockStream(*trace, sopts.filter);
         }
+        const mem::CacheConfig& c = sopts.rerank_config;
+        spec_.size_bytes = {c.size_bytes};
+        spec_.line_bytes = {c.line_bytes};
+        spec_.assocs = {c.assoc};
         if (sopts.page.enabled)
-            specs_ = {{sopts.page.itlb_entries, 4096,
-                       sopts.rerank_config.line_bytes},
-                      {sopts.page.itlb_entries, 2u * 1024 * 1024,
-                       sopts.rerank_config.line_bytes}};
+            spec_.itlb = {{sopts.page.itlb_entries, 4096, c.line_bytes},
+                          {sopts.page.itlb_entries, 2u * 1024 * 1024,
+                           c.line_bytes}};
     }
 
     /** Measurements for every entry (cached or freshly priced;
@@ -92,12 +94,14 @@ class GroundTruth
             obs::Span span("search.price", "opt");
             const core::Layout layout =
                 materialize(entries[i]->cand, prog_, aopts_);
-            const sim::LayoutPrice p = sim::priceLayout(
-                *stream_, layout, kernel_, config_, specs_);
-            out[i].misses = p.icache.misses;
-            if (!specs_.empty()) {
-                out[i].itlb4k = p.itlb[0].misses;
-                out[i].itlb2m = p.itlb[1].misses;
+            const sim::SweepResult r = sim::sweepStream(
+                *stream_, sim::imageTables(&layout, stream_->app_blocks),
+                sim::imageTables(kernel_, stream_->kernel_blocks), spec_);
+            out[i].misses = r.misses(spec_.size_bytes[0],
+                                     spec_.line_bytes[0], spec_.assocs[0]);
+            if (!spec_.itlb.empty()) {
+                out[i].itlb4k = r.itlb()[0].misses;
+                out[i].itlb2m = r.itlb()[1].misses;
             }
             c_priced_refs.add(stream_->size());
         };
@@ -122,9 +126,9 @@ class GroundTruth
     const program::Program& prog_;
     core::AssignOptions aopts_;
     const core::Layout* kernel_;
-    mem::CacheConfig config_;
+    /** The re-rank configuration, plus the two iTLBs in page mode. */
+    sim::SweepSpec spec_;
     std::optional<sim::BlockStream> stream_;
-    std::vector<sim::ITlbSpec> specs_;
     std::unordered_map<std::uint64_t, GtResult> cache_;
     std::uint64_t evals_ = 0;
     std::uint64_t hits_ = 0;

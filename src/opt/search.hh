@@ -37,9 +37,11 @@
  *     — seed, incumbent, proxy-best, and the top of the current batch
  *     — are re-ranked against ground truth. The recorded trace is
  *     reduced once per search to a layout-independent block stream
- *     (sim/price.hh); each candidate's layout is priced on it in one
- *     fused i-cache + iTLB walk, with results cached by candidate
- *     fingerprint so a layout is never priced twice. The returned
+ *     (sim/soa.hh); each candidate's layout is priced on it by one
+ *     serial sweep job (sim::sweepStream: the re-rank cache plus, in
+ *     page mode, the 4KB and 2MB iTLBs, in one walk per CPU), with
+ *     results cached by candidate fingerprint so a layout is never
+ *     priced twice. The returned
  *     layout is the ground-truth winner, which by construction is
  *     never worse than the seed on the re-rank cache configuration.
  *

@@ -7,6 +7,7 @@
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
 #include "sim/kernels_detail.hh"
+#include "sim/sweep.hh"
 
 namespace spikesim::sim {
 
@@ -207,10 +208,11 @@ std::vector<ITlbReplayResult>
 replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
            SimdMode, support::ThreadPool* pool)
 {
-    return replayShards<ITlbReplayResult>(
-        soa, specs, pool,
-        detail::runITlbShardImpl,
-        sumOverCpus<ITlbReplayResult>);
+    if (specs.empty())
+        return {};
+    SweepSpec spec;
+    spec.itlb.assign(specs.begin(), specs.end());
+    return sweepStream(soa.stream, soa.app, soa.kernel, spec, pool).itlb();
 }
 
 std::vector<HierarchyReplayResult>

@@ -58,7 +58,10 @@
  * Plain i-cache miss grids do not come through here: the LRU-stack
  * sweep (sim/sweep.hh) prices them from the layout-independent block
  * stream. replayICache serves what the sweep does not count, the
- * app/kernel split and Figure 13's interference matrix.
+ * app/kernel split and Figure 13's interference matrix. replayITlb is
+ * a front for the sweep: one job with only iTLB specs over the
+ * resolved trace's stream and tables (sim::sweepStream), so it adds
+ * to the sim.sweep.* counters, not to sim.replay.*.
  */
 
 namespace spikesim::sim {
@@ -92,7 +95,9 @@ replayInstrumented(const ResolvedTraceSoA& soa,
                    bool flush_at_end = false,
                    support::ThreadPool* pool = nullptr);
 
-/** Standalone iTLB replay per spec (Figure 14's TLB rows). */
+/** Standalone iTLB replay per spec (Figure 14's TLB rows): one sweep
+ *  job over soa.stream through soa's tables. An empty span runs
+ *  nothing. */
 std::vector<ITlbReplayResult>
 replayITlb(const ResolvedTraceSoA& soa, std::span<const ITlbSpec> specs,
            SimdMode mode = SimdMode::Auto,

@@ -5,6 +5,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +28,8 @@
  * the kernel tag, and skips zero-sized blocks; the hierarchy kernel
  * reads a data ref's word from the data column.
  *
- * The i-cache, three-C, stream-buffer, iTLB and instrumented kernels
- * are one walk with different probes. The shared pieces are cursors
+ * The i-cache, three-C, stream-buffer and instrumented kernels are
+ * one walk with different probes. The shared pieces are cursors
  * that the kernels' own loops call, not callbacks: GCC kept probe
  * lambdas out of line, a call per ref.
  *
@@ -37,9 +38,9 @@
  *    blocks, carrying run breaks past the latter) and hands each ref
  *    over as its [addr, last_byte] range.
  *
- *  - groupBySize: configs are grouped by line size (the iTLB: by fetch
- *    granularity), since configs of one line size step through the
- *    same line sequence.
+ *  - groupBySize: configs are grouped by line size (iTLB specs: by
+ *    fetch granularity), since configs of one line size step through
+ *    the same line sequence.
  *
  *  - LineCursor: per group, every line of every ref counts as one
  *    access (line_steps), and a line equal to the group's previous
@@ -72,9 +73,11 @@
  * semantics.
  *
  * The hierarchy kernel (data refs too, one L1 per group of equal L1
- * geometry), sequence analysis (sim/engine.cc, on InstrRefWalk's run
- * breaks) and the layout-pricing kernel keep their own loops; the
- * hierarchy's flat per-CPU state also backs serve::ServiceModel.
+ * geometry) and sequence analysis (sim/engine.cc, on InstrRefWalk's
+ * run breaks) keep their own loops; the hierarchy's flat per-CPU state
+ * also backs serve::ServiceModel. Standalone iTLBs have no shard
+ * kernel: the sweep (sim/sweep.cc) feeds the ITlbGroups below from
+ * its own walk.
  */
 
 namespace spikesim::sim::detail {
@@ -827,7 +830,7 @@ runThreeCShardImpl(const Shard<mem::CacheConfig, mem::ThreeCStats>& sh)
 }
 
 // ---------------------------------------------------------------------
-// iTLB kernel.
+// Standalone iTLB groups, fed by the sweep's per-CPU walk.
 //
 // mem::ITlb is an exact fully-associative LRU over virtual page
 // numbers: a hit re-stamps (making the entry MRU) and the victim scan
@@ -884,24 +887,14 @@ struct ITlbGroup : LineCursor
     }
 };
 
-/** Group specs [k0, k1) by fetch granularity; member slots are
- *  relative to k0. */
+/** Group specs by fetch granularity; member slots are spec indices.
+ *  The specs are valid (SweepSpec::check). */
 inline std::vector<ITlbGroup>
-buildITlbGroups(const ITlbSpec* specs, std::size_t k0, std::size_t k1)
+buildITlbGroups(std::span<const ITlbSpec> specs)
 {
-    const auto fetch_bytes = [](const ITlbSpec& spec) {
-        SPIKESIM_ASSERT(spec.fetch_bytes > 0 &&
-                            (spec.fetch_bytes &
-                             (spec.fetch_bytes - 1)) == 0,
-                        "fetch granularity must be a power of two");
-        SPIKESIM_ASSERT(spec.page_bytes > 0 &&
-                            (spec.page_bytes & (spec.page_bytes - 1)) ==
-                                0,
-                        "page size must be a power of two");
-        return spec.fetch_bytes;
-    };
     return groupBySize<ITlbGroup>(
-        specs, k0, k1, fetch_bytes,
+        specs.data(), 0, specs.size(),
+        [](const ITlbSpec& spec) { return spec.fetch_bytes; },
         [](ITlbGroup& g, const ITlbSpec& spec, std::size_t slot) {
             g.members.emplace_back(
                 slot,
@@ -923,17 +916,6 @@ foldITlbGroups(const std::vector<ITlbGroup>& groups, ITlbReplayResult* out)
             o.misses = m.misses;
         }
     }
-}
-
-inline void
-runITlbShardImpl(const Shard<ITlbSpec, ITlbReplayResult>& sh)
-{
-    std::vector<ITlbGroup> groups = buildITlbGroups(sh.configs, sh.k0, sh.k1);
-    InstrRefWalk refs(*sh.soa, sh.cpu);
-    for (InstrRef r; refs.next(r);)
-        for (ITlbGroup& g : groups)
-            g.walk(r.addr, r.last_byte);
-    foldITlbGroups(groups, sh.out);
 }
 
 // ---------------------------------------------------------------------
@@ -1330,7 +1312,7 @@ runStreamBufShardImpl(
 //    order), minus owner tags, with a direct-mapped fast path.
 //
 //  - HierarchyTail::translate: FlatFaLru plus the one-entry last-page
-//    filter. mem::ITlb is an exact FA-LRU (see the iTLB kernel), and
+//    filter. mem::ITlb is an exact FA-LRU (see the iTLB groups), and
 //    its hit sequence does not depend on which slot holds a page.
 //
 //  - Repeat line: a fetch of the line this L1 fetched last is the MRU
@@ -1592,91 +1574,6 @@ runHierarchyShardImpl(
     }
     instrs = n_instrs;
     fetch_breaks = breaks;
-}
-
-// ---------------------------------------------------------------------
-// Layout pricing kernel.
-//
-// Prices one candidate layout on one CPU's slice of a BlockStream (see
-// sim/soa.hh) in a single walk: each tagged block id gathers its
-// (addr, size) from the layout's block tables (the run-break tag is
-// masked off: pricing has no runs), zero-sized blocks are skipped, and
-// every remaining ref feeds one stats-only FlatCache plus
-// the iTLB groups. The cache follows the i-cache kernel's repeat-line
-// rule (a repeat of the last fetched line is its set's MRU entry: a
-// hit with no state change) and each iTLB group its own, exactly as
-// runITlbShardImpl. An iTLB group whose fetch granularity equals the
-// cache line sees the cache's line sequence, so it is fed from inside
-// the cache's line loop instead of re-walking the ref.
-// ---------------------------------------------------------------------
-
-/** One CPU's pricing walk: inputs, and outputs written (not summed). */
-struct PriceShard
-{
-    const std::uint32_t* ids = nullptr;
-    std::size_t n = 0;
-    BlockTables app;
-    BlockTables kernel;
-    const mem::CacheConfig* config = nullptr;
-    const ITlbSpec* specs = nullptr;
-    std::size_t n_specs = 0;
-    support::AccessStats* icache = nullptr;
-    ITlbReplayResult* itlb = nullptr; ///< n_specs results
-};
-
-inline void
-runPriceImpl(const PriceShard& sh)
-{
-    FlatCache cache(*sh.config);
-    const std::uint32_t shift = cache.shift();
-    std::vector<ITlbGroup> groups =
-        buildITlbGroups(sh.specs, 0, sh.n_specs);
-    ITlbGroup* same = nullptr;
-    std::vector<ITlbGroup*> others;
-    for (ITlbGroup& g : groups) {
-        if (g.shift == shift)
-            same = &g;
-        else
-            others.push_back(&g);
-    }
-
-    std::uint64_t last = kInvalidTag;
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-    for (std::size_t i = 0; i < sh.n; ++i) {
-        const std::uint32_t id = sh.ids[i];
-        const BlockTables& img = tablesFor(id, sh.app, sh.kernel);
-        const std::uint32_t g = id & kBlockIdMask;
-        const std::uint32_t size = img.size[g];
-        if (size == 0)
-            continue;
-        const std::uint64_t addr = img.addr[g];
-        const std::uint64_t last_byte =
-            addr + static_cast<std::uint64_t>(size) * program::kInstrBytes -
-            1;
-        std::uint64_t ln = addr >> shift;
-        const std::uint64_t ln_end = last_byte >> shift;
-        accesses += ln_end - ln + 1;
-        for (; ln <= ln_end; ++ln) {
-            if (ln == last)
-                continue;
-            last = ln;
-            misses += !cache.access(ln);
-            if (same != nullptr)
-                for (ITlbMember& m : same->members)
-                    m.translate(ln << shift);
-        }
-        for (ITlbGroup* o : others)
-            o->walk(addr, last_byte);
-    }
-    if (same != nullptr) {
-        same->line_steps = accesses;
-        same->last_line = last;
-    }
-
-    sh.icache->accesses = accesses;
-    sh.icache->misses = misses;
-    foldITlbGroups(groups, sh.itlb);
 }
 
 } // namespace spikesim::sim::detail

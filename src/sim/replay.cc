@@ -1,6 +1,8 @@
 #include "sim/replay.hh"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <unordered_map>
 
 #include "sim/soa.hh"
@@ -89,8 +91,22 @@ Replayer::icache(const mem::CacheConfig& config, StreamFilter filter) const
 std::string
 SweepSpec::check() const
 {
-    if (size_bytes.empty() || line_bytes.empty() || assocs.empty())
+    const bool no_grid = size_bytes.empty() && line_bytes.empty();
+    if (no_grid && itlb.empty())
+        return "sweep needs a cache grid or an iTLB spec";
+    if (!no_grid &&
+        (size_bytes.empty() || line_bytes.empty() || assocs.empty()))
         return "sweep needs at least one size, line size and assoc";
+    for (const ITlbSpec& spec : itlb) {
+        if (spec.entries == 0)
+            return "iTLB needs at least one entry";
+        if (!std::has_single_bit(spec.page_bytes))
+            return "iTLB page size " + std::to_string(spec.page_bytes) +
+                   "B is not a power of two";
+        if (!std::has_single_bit(spec.fetch_bytes))
+            return "iTLB fetch size " + std::to_string(spec.fetch_bytes) +
+                   "B is not a power of two";
+    }
     for (std::uint32_t size : size_bytes)
         for (std::uint32_t line : line_bytes)
             for (std::uint32_t assoc : assocs) {
@@ -106,6 +122,7 @@ SweepResult::SweepResult(SweepSpec spec) : spec_(std::move(spec))
 {
     accesses_.assign(spec_.line_bytes.size(), 0);
     misses_.assign(spec_.numConfigs(), 0);
+    itlb_.assign(spec_.itlb.size(), ITlbReplayResult());
     // emplace keeps the first occurrence, matching what a linear scan
     // of a (degenerate) spec with duplicates would have found.
     for (std::size_t i = 0; i < spec_.size_bytes.size(); ++i)
@@ -156,8 +173,8 @@ Replayer::resolveSoA(StreamFilter filter, bool include_data) const
 {
     ResolvedTraceSoA out;
     out.stream = buildBlockStream(trace_, filter, include_data);
-    out.app = detail::imageTables(&app_, out.stream.app_blocks);
-    out.kernel = detail::imageTables(kernel_, out.stream.kernel_blocks);
+    out.app = imageTables(&app_, out.stream.app_blocks);
+    out.kernel = imageTables(kernel_, out.stream.kernel_blocks);
     out.cpu_refs.assign(static_cast<std::size_t>(out.stream.num_cpus), 0);
     for (int c = 0; c < out.stream.num_cpus; ++c) {
         const auto [b, e] = out.stream.cpuRange(c);

@@ -23,12 +23,13 @@
  *
  * Replayer's per-config walks are the scalar oracle of every simulator
  * family: each family has this one oracle and one production path, the
- * SoA kernels of sim/engine.hh over a Replayer::resolveSoA trace (the
- * i-cache family also has the LRU-stack sweep, sim/sweep.hh). All the
- * production paths walk one trace form, the layout-independent
- * BlockStream of sim/soa.hh, gathering addresses from the layouts'
- * block tables. Tests bit-compare every production path against these
- * walks.
+ * SoA kernels of sim/engine.hh over a Replayer::resolveSoA trace, except
+ * that plain i-cache and standalone-iTLB misses come from the sweep
+ * (sim/sweep.hh; SweepSpec carries both, and sim::replayITlb is one
+ * sweep job). All the production paths walk one trace form, the
+ * layout-independent BlockStream of sim/soa.hh, gathering addresses
+ * from the layouts' block tables. Tests bit-compare every production
+ * path against these walks.
  */
 
 namespace spikesim::sim {
@@ -61,14 +62,40 @@ wantImage(StreamFilter filter, trace::ImageId image)
 struct ResolvedTraceSoA;
 
 /**
- * A cache-geometry sweep: the cross product of sizes x line sizes x
- * associativities. Every combination must be a valid CacheConfig.
+ * Geometry of a standalone iTLB replay (the TLB rows of Figure 14
+ * without simulating the caches around it). One TLB access is made per
+ * fetched line of `fetch_bytes`, matching how MemoryHierarchy consults
+ * its iTLB once per L1I line fetch — with fetch_bytes equal to the
+ * hierarchy's L1I line size the miss counts coincide.
+ */
+struct ITlbSpec
+{
+    std::uint32_t entries = 64;
+    std::uint32_t page_bytes = 8 * 1024;
+    std::uint32_t fetch_bytes = 64;
+};
+
+/**
+ * Result of a standalone iTLB replay (summed over per-CPU TLBs):
+ * accesses are line-granular TLB lookups. The shared access/miss shape
+ * directly — an iTLB has no refinement beyond hit or miss.
+ */
+using ITlbReplayResult = support::AccessStats;
+
+/**
+ * A sweep: a cache-geometry grid, the cross product of sizes x line
+ * sizes x associativities, plus standalone iTLBs priced by the same
+ * walk. Every grid combination must be a valid CacheConfig. The grid
+ * may be empty (no sizes and no line sizes) when there are iTLB specs.
  */
 struct SweepSpec
 {
     std::vector<std::uint32_t> size_bytes;
     std::vector<std::uint32_t> line_bytes;
     std::vector<std::uint32_t> assocs{1};
+    /** Standalone iTLBs: entries > 0, power-of-two page and fetch
+     *  sizes. */
+    std::vector<ITlbSpec> itlb;
 
     /** Empty when every combination is consistent, else a complaint. */
     std::string check() const;
@@ -83,8 +110,9 @@ struct SweepSpec
 
 /**
  * Hit/miss counts for every configuration of a SweepSpec, produced by
- * the single-pass stack-distance engine. Counts are aggregated over
- * CPUs (each CPU simulates its own cache, as in Replayer::icache).
+ * the single-pass stack-distance engine, and one result per iTLB spec.
+ * Counts are aggregated over CPUs (each CPU simulates its own cache
+ * and iTLB, as in Replayer::icache and Replayer::itlb).
  */
 class SweepResult
 {
@@ -115,6 +143,9 @@ class SweepResult
                misses(size_bytes, line_bytes, assoc);
     }
 
+    /** One result per SweepSpec::itlb entry, in spec order. */
+    const std::vector<ITlbReplayResult>& itlb() const { return itlb_; }
+
   private:
     /** The sweep engine (sim/sweep.cc) stores its folded counts. */
     friend struct SweepFold;
@@ -126,6 +157,7 @@ class SweepResult
     SweepSpec spec_;
     std::vector<std::uint64_t> accesses_; ///< per line-size index
     std::vector<std::uint64_t> misses_;   ///< [li][si][ai], line-major
+    std::vector<ITlbReplayResult> itlb_;  ///< per iTLB spec
     // Dimension-value -> index maps, built once by the constructor so
     // the accessors (called per table cell by the benches) don't
     // re-scan the spec vectors on every lookup.
@@ -171,27 +203,6 @@ struct WordStats
 
     WordStats() : words_used(65), word_reuse(16), lifetimes(32) {}
 };
-
-/**
- * Geometry of a standalone iTLB replay (the TLB rows of Figure 14
- * without simulating the caches around it). One TLB access is made per
- * fetched line of `fetch_bytes`, matching how MemoryHierarchy consults
- * its iTLB once per L1I line fetch — with fetch_bytes equal to the
- * hierarchy's L1I line size the miss counts coincide.
- */
-struct ITlbSpec
-{
-    std::uint32_t entries = 64;
-    std::uint32_t page_bytes = 8 * 1024;
-    std::uint32_t fetch_bytes = 64;
-};
-
-/**
- * Result of a standalone iTLB replay (summed over per-CPU TLBs):
- * accesses are line-granular TLB lookups. The shared access/miss shape
- * directly — an iTLB has no refinement beyond hit or miss.
- */
-using ITlbReplayResult = support::AccessStats;
 
 /** Full-hierarchy replay result (Figures 14-15). */
 struct HierarchyReplayResult

@@ -61,6 +61,8 @@ unmapColumn(void* p, std::size_t bytes) noexcept
     ::munmap(p, mappedBytes(bytes));
 }
 
+} // namespace detail
+
 BlockTables
 imageTables(const core::Layout* layout, std::uint32_t blocks)
 {
@@ -74,8 +76,6 @@ imageTables(const core::Layout* layout, std::uint32_t blocks)
                                      << blocks);
     return {layout->blockAddrs().data(), layout->blockSizes().data()};
 }
-
-} // namespace detail
 
 BlockStream
 buildBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,

@@ -14,14 +14,14 @@
  * block id, or an index into a global-order data column. It holds no
  * address, so it is built once per (filter, include_data) and priced
  * under any layout by gathering each ref's (addr, size) from that
- * layout's block tables at walk time: the i-cache sweep (sim/sweep.hh)
- * and the search pricing (sim/price.hh) take the stream and the
- * layouts; the SoA replay kernels (sim/engine.hh) take a
- * ResolvedTraceSoA, the stream bound to one layout pair's tables. The
- * scalar Replayer walks are the one oracle
- * (tests/replay_parallel_test.cc bit-compares the two for all seven
- * families; tests/soa_simd_test.cc decodes resolveSoA ref by ref
- * against a walk of the raw trace).
+ * layout's block tables at walk time: the i-cache and iTLB sweep
+ * (sim/sweep.hh) takes the stream and the layouts' tables (the layout
+ * search prices each candidate that way, on a stream it builds once);
+ * the SoA replay kernels (sim/engine.hh) take a ResolvedTraceSoA, the
+ * stream bound to one layout pair's tables. The scalar Replayer walks
+ * are the one oracle (tests/replay_parallel_test.cc bit-compares the
+ * two for all seven families; tests/soa_simd_test.cc decodes
+ * resolveSoA ref by ref against a walk of the raw trace).
  */
 
 namespace spikesim::sim {
@@ -180,12 +180,12 @@ struct BlockTables
     const std::uint32_t* size = nullptr; ///< instructions
 };
 
-namespace detail {
 /** `layout`'s block tables, checked to cover a stream's `blocks` ids
  *  of that image (empty when the stream has none; `layout` may then
  *  be null). */
 BlockTables imageTables(const core::Layout* layout, std::uint32_t blocks);
 
+namespace detail {
 /** The tables a tagged block id gathers from: the kernel tag picks the
  *  kernel image's. */
 inline const BlockTables&

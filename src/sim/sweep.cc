@@ -8,7 +8,6 @@
 #include "obs/registry.hh"
 #include "obs/tracing.hh"
 #include "sim/kernels_detail.hh"
-#include "sim/price.hh"
 #include "support/panic.hh"
 
 namespace spikesim::sim {
@@ -17,16 +16,18 @@ namespace spikesim::sim {
 struct SweepFold
 {
     /** `accesses` per line index; `hits` per configuration, in the
-     *  result's [li][si][ai] order. */
+     *  result's [li][si][ai] order; `itlb` per iTLB spec. */
     static void
     store(SweepResult& out, const std::vector<std::uint64_t>& accesses,
-          const std::vector<std::uint64_t>& hits)
+          const std::vector<std::uint64_t>& hits,
+          std::vector<ITlbReplayResult> itlb)
     {
         const std::size_t per_line =
             out.spec_.size_bytes.size() * out.spec_.assocs.size();
         out.accesses_ = accesses;
         for (std::size_t i = 0; i < hits.size(); ++i)
             out.misses_[i] = accesses[i / per_line] - hits[i];
+        out.itlb_ = std::move(itlb);
     }
 };
 
@@ -179,19 +180,22 @@ LinePass::LinePass(const SweepSpec& spec, std::size_t line_index)
     }
 }
 
-/** One (job, CPU) task's counts: line fetches per line index, and hits
- *  per configuration in SweepResult's [li][si][ai] order. */
+/** One (job, CPU) task's counts: line fetches per line index, hits
+ *  per configuration in SweepResult's [li][si][ai] order, and one
+ *  result per iTLB spec. */
 struct CpuCounts
 {
     std::vector<std::uint64_t> accesses;
     std::vector<std::uint64_t> hits;
+    std::vector<ITlbReplayResult> itlb;
 };
 
 /**
  * Walk one CPU's block ids once, gathering each ref's (addr, bytes)
- * from the job's block tables and feeding every line size's pass.
- * Zero-size blocks are skipped: the block stream keeps them because
- * emptiness depends on the layout.
+ * from the job's block tables and feeding every line size's pass and
+ * every iTLB fetch-granularity group. Data refs and zero-size blocks
+ * are skipped: the block stream keeps the latter because emptiness
+ * depends on the layout.
  */
 CpuCounts
 sweepCpu(const std::uint32_t* ids, std::size_t n,
@@ -202,9 +206,13 @@ sweepCpu(const std::uint32_t* ids, std::size_t n,
     passes.reserve(spec.line_bytes.size());
     for (std::size_t li = 0; li < spec.line_bytes.size(); ++li)
         passes.emplace_back(spec, li);
+    std::vector<detail::ITlbGroup> tlbs =
+        detail::buildITlbGroups(spec.itlb);
 
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t id = ids[i];
+        if ((id & kDataRefTag) != 0)
+            continue;
         const BlockTables& img = detail::tablesFor(id, app, kernel);
         const std::uint32_t g = id & kBlockIdMask;
         const std::uint32_t size = img.size[g];
@@ -216,6 +224,8 @@ sweepCpu(const std::uint32_t* ids, std::size_t n,
             static_cast<std::uint64_t>(size) * program::kInstrBytes - 1;
         for (LinePass& p : passes)
             p.walk(addr, last_byte);
+        for (detail::ITlbGroup& t : tlbs)
+            t.walk(addr, last_byte);
     }
 
     CpuCounts out;
@@ -227,7 +237,96 @@ sweepCpu(const std::uint32_t* ids, std::size_t n,
                     p.hits(p.sim_of[si * spec.assocs.size() + ai],
                            spec.assocs[ai]));
     }
+    out.itlb.resize(spec.itlb.size());
+    detail::foldITlbGroups(tlbs, out.itlb.data());
     return out;
+}
+
+/** A sweep job bound to its block stream and block tables. */
+struct BoundJob
+{
+    const BlockStream* stream = nullptr;
+    BlockTables app;
+    BlockTables kernel;
+    const SweepSpec* spec = nullptr;
+};
+
+/** Run `task` on the pool, or at once on the caller when there is
+ *  none. */
+void
+submit(support::ThreadPool* pool, std::function<void()> task)
+{
+    if (pool != nullptr)
+        pool->submit(std::move(task));
+    else
+        task();
+}
+
+void
+join(support::ThreadPool* pool)
+{
+    if (pool != nullptr)
+        pool->wait();
+}
+
+void
+checkSpec(const SweepSpec& spec, const std::string& label)
+{
+    const std::string err = spec.check();
+    SPIKESIM_ASSERT(err.empty(), "bad sweep spec (" << label << "): " << err);
+}
+
+/**
+ * The one sweep driver: one task per (job, CPU), each writing its own
+ * counts slot, then every job's counts folded in CPU order. Results
+ * come back in job order and are identical at any pool width and with
+ * no pool.
+ */
+std::vector<SweepResult>
+sweepBound(const std::vector<BoundJob>& jobs, support::ThreadPool* pool)
+{
+    std::vector<std::vector<CpuCounts>> counts(jobs.size());
+    std::uint64_t streamed = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const BlockStream& stream = *jobs[j].stream;
+        counts[j].resize(static_cast<std::size_t>(stream.num_cpus));
+        streamed += stream.size();
+        for (int c = 0; c < stream.num_cpus; ++c) {
+            submit(pool, [&job = jobs[j], &out = counts[j], c] {
+                obs::Span span("sweep.cpu", "sim");
+                const auto [begin, end] = job.stream->cpuRange(c);
+                out[static_cast<std::size_t>(c)] =
+                    sweepCpu(job.stream->ids.data() + begin, end - begin,
+                             job.app, job.kernel, *job.spec);
+            });
+        }
+    }
+    join(pool);
+
+    std::vector<SweepResult> results;
+    results.reserve(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        CpuCounts total = std::move(counts[j].front());
+        for (std::size_t c = 1; c < counts[j].size(); ++c) {
+            const CpuCounts& cpu = counts[j][c];
+            for (std::size_t i = 0; i < total.accesses.size(); ++i)
+                total.accesses[i] += cpu.accesses[i];
+            for (std::size_t i = 0; i < total.hits.size(); ++i)
+                total.hits[i] += cpu.hits[i];
+            for (std::size_t i = 0; i < total.itlb.size(); ++i)
+                total.itlb[i] += cpu.itlb[i];
+        }
+        SweepFold::store(results.emplace_back(*jobs[j].spec),
+                         total.accesses, total.hits,
+                         std::move(total.itlb));
+    }
+
+    static obs::Counter& c_jobs = obs::counter("sim.sweep.jobs");
+    static obs::Counter& c_refs =
+        obs::counter("sim.sweep.streamed_refs");
+    c_jobs.add(jobs.size());
+    c_refs.add(streamed);
+    return results;
 }
 
 } // namespace
@@ -237,27 +336,11 @@ runSweepJobs(const trace::TraceBuffer& trace,
              const std::vector<SweepJob>& jobs,
              support::ThreadPool* pool)
 {
-    std::vector<SweepResult> results;
-    results.reserve(jobs.size());
     for (const SweepJob& job : jobs) {
         SPIKESIM_ASSERT(job.app_layout != nullptr,
                         "sweep job needs an application layout");
-        std::string err = job.spec.check();
-        SPIKESIM_ASSERT(err.empty(),
-                        "bad sweep spec (" << job.label << "): " << err);
-        results.emplace_back(job.spec);
+        checkSpec(job.spec, job.label);
     }
-
-    const auto run = [pool](std::function<void()> task) {
-        if (pool != nullptr)
-            pool->submit(std::move(task));
-        else
-            task();
-    };
-    const auto join = [pool] {
-        if (pool != nullptr)
-            pool->wait();
-    };
 
     // One block stream per distinct filter; jobs index into them.
     std::vector<StreamFilter> filters;
@@ -271,56 +354,33 @@ runSweepJobs(const trace::TraceBuffer& trace,
     }
     std::vector<BlockStream> streams(filters.size());
     for (std::size_t f = 0; f < filters.size(); ++f) {
-        run([&trace, &filters, &streams, f] {
+        submit(pool, [&trace, &filters, &streams, f] {
             obs::Span span("sweep.block_stream", "sim");
             streams[f] = buildBlockStream(trace, filters[f]);
         });
     }
-    join();
+    join(pool);
 
-    // One task per (job, CPU), each writing its own counts slot.
-    const std::size_t n_cpus = static_cast<std::size_t>(trace.numCpus());
-    std::vector<CpuCounts> counts(jobs.size() * n_cpus);
-    std::uint64_t streamed = 0;
+    std::vector<BoundJob> bound;
+    bound.reserve(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const BlockStream& stream = streams[stream_of[j]];
-        const BlockTables app =
-            detail::imageTables(jobs[j].app_layout, stream.app_blocks);
-        const BlockTables kernel = detail::imageTables(
-            jobs[j].kernel_layout, stream.kernel_blocks);
-        streamed += stream.size();
-        for (std::size_t c = 0; c < n_cpus; ++c) {
-            run([&stream, &jobs, &counts, app, kernel, j, c, n_cpus] {
-                obs::Span span("sweep.cpu", "sim");
-                const auto [begin, end] =
-                    stream.cpuRange(static_cast<int>(c));
-                counts[j * n_cpus + c] =
-                    sweepCpu(stream.ids.data() + begin, end - begin, app,
-                             kernel, jobs[j].spec);
-            });
-        }
+        bound.push_back(
+            {&stream, imageTables(jobs[j].app_layout, stream.app_blocks),
+             imageTables(jobs[j].kernel_layout, stream.kernel_blocks),
+             &jobs[j].spec});
     }
-    join();
+    return sweepBound(bound, pool);
+}
 
-    // Fold integer counts in CPU order.
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        CpuCounts total = std::move(counts[j * n_cpus]);
-        for (std::size_t c = 1; c < n_cpus; ++c) {
-            const CpuCounts& cpu = counts[j * n_cpus + c];
-            for (std::size_t i = 0; i < total.accesses.size(); ++i)
-                total.accesses[i] += cpu.accesses[i];
-            for (std::size_t i = 0; i < total.hits.size(); ++i)
-                total.hits[i] += cpu.hits[i];
-        }
-        SweepFold::store(results[j], total.accesses, total.hits);
-    }
-
-    static obs::Counter& c_jobs = obs::counter("sim.sweep.jobs");
-    static obs::Counter& c_refs =
-        obs::counter("sim.sweep.streamed_refs");
-    c_jobs.add(jobs.size());
-    c_refs.add(streamed);
-    return results;
+SweepResult
+sweepStream(const BlockStream& stream, const BlockTables& app,
+            const BlockTables& kernel, const SweepSpec& spec,
+            support::ThreadPool* pool)
+{
+    checkSpec(spec, "block stream");
+    return std::move(sweepBound({{&stream, app, kernel, &spec}}, pool)
+                         .front());
 }
 
 } // namespace spikesim::sim

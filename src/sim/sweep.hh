@@ -5,21 +5,29 @@
 #include <vector>
 
 #include "sim/replay.hh"
+#include "sim/soa.hh"
 #include "support/threadpool.hh"
 
 /**
  * @file
- * The i-cache sweep engine: prices every (size x line x assoc)
- * configuration of many jobs -- (layout pair, stream filter, spec) --
- * over one shared read-only TraceBuffer. The trace is reduced once per
- * distinct filter to a layout-independent BlockStream (sim/soa.hh, 4
- * bytes per ref). Each (job, CPU) pair is then one task: it walks that
- * CPU's block ids once, gathers each ref's (addr, bytes) from the
- * job's block tables, skips zero-size blocks, and drives every line
- * size's pass from that walk (direct-mapped tag tables with the
- * repeat-line and fewest-set fast paths, or per-set LRU stacks when
- * any assoc > 1). Integer counts are folded in CPU order, so results
- * are identical at any pool width and with no pool.
+ * The sweep engine: prices every (size x line x assoc) i-cache
+ * configuration and every standalone iTLB of many jobs -- (layout
+ * pair, stream filter, spec) -- over one shared read-only TraceBuffer.
+ * The trace is reduced once per distinct filter to a layout-
+ * independent BlockStream (sim/soa.hh, 4 bytes per ref). Each (job,
+ * CPU) pair is then one task: it walks that CPU's block ids once,
+ * gathers each ref's (addr, bytes) from the job's block tables, skips
+ * data refs and zero-size blocks, and drives every line size's pass
+ * from that walk (direct-mapped tag tables with the repeat-line and
+ * fewest-set fast paths, or per-set LRU stacks when any assoc > 1),
+ * then every iTLB fetch-granularity group (detail::ITlbGroup). Integer
+ * counts are folded in CPU order, so results are identical at any pool
+ * width and with no pool.
+ *
+ * This is the one production walk for plain i-cache misses and for
+ * standalone-iTLB misses: the figure benches' grids, the layout
+ * search's re-rank (one job per candidate, on the search's own stream)
+ * and sim::replayITlb all run through it.
  */
 
 namespace spikesim::sim {
@@ -47,6 +55,16 @@ struct SweepJob
 std::vector<SweepResult> runSweepJobs(const trace::TraceBuffer& trace,
                                       const std::vector<SweepJob>& jobs,
                                       support::ThreadPool* pool = nullptr);
+
+/**
+ * Run one sweep over a block stream the caller already holds, through
+ * the block tables of one layout pair (imageTables; the layouts must
+ * outlive the call). Same walk, fold and counters as runSweepJobs; the
+ * stream may carry data refs, which the walk skips.
+ */
+SweepResult sweepStream(const BlockStream& stream, const BlockTables& app,
+                        const BlockTables& kernel, const SweepSpec& spec,
+                        support::ThreadPool* pool = nullptr);
 
 } // namespace spikesim::sim
 

@@ -302,19 +302,25 @@ TEST(ReplayEngine, MatchesITlbOracleAndDynamicInstrs)
     for (int cpus : {1, 4}) {
         Workload w(cpus, 400 + static_cast<std::uint32_t>(cpus));
         for (StreamFilter filter : kFilters) {
-            const ResolvedTraceSoA soa = w.rep.resolveSoA(filter);
-            EXPECT_EQ(soa.instrs, w.rep.dynamicInstrs(filter));
             std::vector<ITlbReplayResult> oracle;
             for (const auto& spec : specs)
                 oracle.push_back(w.rep.itlb(spec, filter));
-            for (support::ThreadPool* pool : pools.all) {
-                auto col = replayITlb(soa, specs, SimdMode::Auto, pool);
-                ASSERT_EQ(col.size(), oracle.size());
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    EXPECT_EQ(col[i].accesses, oracle[i].accesses)
-                        << "cpus " << cpus << " spec " << i;
-                    EXPECT_EQ(col[i].misses, oracle[i].misses)
-                        << "cpus " << cpus << " spec " << i;
+            // With data refs in the stream too: the iTLB walk skips
+            // them.
+            for (bool data : {false, true}) {
+                const ResolvedTraceSoA soa = w.rep.resolveSoA(filter, data);
+                EXPECT_EQ(soa.instrs, w.rep.dynamicInstrs(filter));
+                for (support::ThreadPool* pool : pools.all) {
+                    auto col = replayITlb(soa, specs, SimdMode::Auto, pool);
+                    ASSERT_EQ(col.size(), oracle.size());
+                    for (std::size_t i = 0; i < specs.size(); ++i) {
+                        EXPECT_EQ(col[i].accesses, oracle[i].accesses)
+                            << "cpus " << cpus << " spec " << i
+                            << " data " << data;
+                        EXPECT_EQ(col[i].misses, oracle[i].misses)
+                            << "cpus " << cpus << " spec " << i
+                            << " data " << data;
+                    }
                 }
             }
         }
@@ -437,10 +443,13 @@ TEST(ReplayEngine, EmptyColumnsReturnEmpty)
     const std::span<const ITlbSpec> specs;
     const std::span<const mem::HierarchyConfig> hierarchies;
     // Every shard the engine runs bumps this counter (see
-    // forEachShard); an empty column must run none, on any pool.
+    // forEachShard), and every sweep job (replayITlb's) bumps the
+    // sweep's; an empty column must run neither, on any pool.
     const obs::Counter& shards = obs::counter("sim.replay.shards");
+    const obs::Counter& sweep_jobs = obs::counter("sim.sweep.jobs");
     for (support::ThreadPool* pool : pools.all) {
         const std::uint64_t before = shards.value();
+        const std::uint64_t jobs_before = sweep_jobs.value();
         const SimdMode mode = SimdMode::Auto;
         EXPECT_TRUE(replayICache(soa, caches, mode, pool).empty());
         EXPECT_TRUE(replayThreeCs(soa, caches, mode, pool).empty());
@@ -453,6 +462,8 @@ TEST(ReplayEngine, EmptyColumnsReturnEmpty)
                 replayHierarchy(soa, hierarchies, flag, pool).empty());
         }
         EXPECT_EQ(shards.value(), before)
+            << (pool == nullptr ? 0 : pool->numThreads()) << " threads";
+        EXPECT_EQ(sweep_jobs.value(), jobs_before)
             << (pool == nullptr ? 0 : pool->numThreads()) << " threads";
     }
 }

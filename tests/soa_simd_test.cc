@@ -17,7 +17,9 @@
  *    the i-cache and sequence walks match their oracles under AppOnly
  *    and KernelOnly, with and without data, and sim.replay.refs counts
  *    the replayed refs only.
- *  - buildBlockStream: a zero-sized block after a filtered-out kernel
+ *  - buildBlockStream: each CPU's filtered refs in trace order, with
+ *    run-break tags and the image block counts, on a two-image
+ *    synthetic trace; a zero-sized block after a filtered-out kernel
  *    run carries the run break to the next ref; data refs keep global
  *    order under AppOnly and Combined (the coherence pass agrees with
  *    the oracle); an id that reaches the tag bits dies.
@@ -36,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,6 +51,7 @@
 #include "sim/timing.hh"
 #include "support/rng.hh"
 #include "support/threadpool.hh"
+#include "two_image_workload.hh"
 
 namespace spikesim::sim {
 namespace {
@@ -735,6 +739,43 @@ TEST(BlockStream, DataRefsKeepGlobalOrderUnderAppOnlyAndCombined)
 
 /** A block id or data index must stay below the tag bits: a block id
  *  that reaches them dies instead of aliasing a tagged id. */
+TEST(PriceFuzz, BlockStreamKeepsEachCpusFilteredRefsInTraceOrder)
+{
+    TwoImageWorkload& w = twoImageWorkload();
+    for (StreamFilter filter : {StreamFilter::AppOnly,
+                                StreamFilter::KernelOnly,
+                                StreamFilter::Combined}) {
+        const BlockStream stream = buildBlockStream(w.buf, filter);
+        ASSERT_EQ(stream.num_cpus, kTwoImageCpus);
+        std::vector<std::vector<std::uint32_t>> want(kTwoImageCpus);
+        std::vector<std::uint32_t> pending(kTwoImageCpus, 0);
+        std::uint32_t app_blocks = 0, kernel_blocks = 0;
+        for (const trace::TraceEvent& e : w.buf.events()) {
+            if (e.image == trace::ImageId::Data)
+                continue;
+            if (!wantImage(filter, e.image)) {
+                pending[e.cpu] = kRunBreakTag;
+                continue;
+            }
+            const bool kernel = e.image == trace::ImageId::Kernel;
+            (kernel ? kernel_blocks : app_blocks) = std::max(
+                kernel ? kernel_blocks : app_blocks, e.block + 1);
+            want[e.cpu].push_back(
+                e.block | pending[e.cpu] | (kernel ? kKernelBlockTag : 0u));
+            pending[e.cpu] = 0;
+        }
+        for (int c = 0; c < kTwoImageCpus; ++c) {
+            const auto [b, e] = stream.cpuRange(c);
+            EXPECT_EQ(std::vector<std::uint32_t>(stream.ids.begin() + b,
+                                                 stream.ids.begin() + e),
+                      want[c]);
+        }
+        EXPECT_EQ(stream.ids.capacity(), stream.ids.size());
+        EXPECT_EQ(stream.app_blocks, app_blocks);
+        EXPECT_EQ(stream.kernel_blocks, kernel_blocks);
+    }
+}
+
 TEST(BlockStreamDeathTest, IdCollidingWithATagDies)
 {
     for (std::uint32_t bad : {kDataRefTag, kRunBreakTag, kKernelBlockTag,

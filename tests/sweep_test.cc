@@ -2,13 +2,28 @@
  * @file
  * Tests for the single-pass multi-configuration sweep engine: the LRU
  * stack-distance simulator against the set-associative reference, the
- * sweep API against per-config replay (randomized differential), and
- * the pooled (job, CPU) executor against the serial path at several
- * pool widths.
+ * sweep API against per-config replay (randomized differential), the
+ * pooled (job, CPU) executor against the serial path at several pool
+ * widths, and the sweep's iTLB specs:
+ *
+ *  - SweepFuzz: the layout search's pricing path (sweepStream, one
+ *    cache plus iTLB specs on a prebuilt block stream) against the
+ *    scalar Replayer::icache and Replayer::itlb oracles. Candidates are
+ *    randomly perturbed layouts (opt::perturb) of an app image,
+ *    materialized both tight and 4096-aligned so materialized and
+ *    deleted branches leave zero-sized blocks, next to a perturbed
+ *    kernel image. Caches are direct-mapped, 2-way and 4-way at
+ *    32/64/128B lines. iTLBs have 4KB/2MB pages and 8/64 entries,
+ *    fetched both at the line size and at another granularity. Every
+ *    stream filter runs on a 3-CPU trace that also carries data
+ *    events.
+ *  - An iTLB-only spec through runSweepJobs at several pool widths,
+ *    and the specs check() and the executor reject.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +31,8 @@
 #include "core/pipeline.hh"
 #include "mem/cache.hh"
 #include "mem/lrustack.hh"
+#include "obs/registry.hh"
+#include "opt/perturb.hh"
 #include "profile/profile.hh"
 #include "program/builder.hh"
 #include "sim/sweep.hh"
@@ -23,6 +40,7 @@
 #include "support/threadpool.hh"
 #include "synth/synthprog.hh"
 #include "synth/walker.hh"
+#include "two_image_workload.hh"
 
 namespace spikesim::sim {
 namespace {
@@ -110,6 +128,29 @@ TEST(SweepSpec, CheckRejectsBadGrids)
     ok.assocs = {1, 4};
     EXPECT_EQ(ok.check(), "");
     EXPECT_EQ(ok.numConfigs(), 8u);
+
+    // iTLB specs: an empty grid is fine beside them, a half grid is not,
+    // and each spec needs entries and power-of-two page/fetch sizes.
+    SweepSpec tlb_only;
+    tlb_only.itlb = {{64, 4096, 64}};
+    EXPECT_EQ(tlb_only.check(), "");
+    EXPECT_EQ(tlb_only.numConfigs(), 0u);
+    SweepSpec half_grid = tlb_only;
+    half_grid.line_bytes = {64};
+    EXPECT_NE(half_grid.check(), "");
+    SweepSpec with_grid = ok;
+    with_grid.itlb = {{8, 2u * 1024 * 1024, 32}, {64, 4096, 128}};
+    EXPECT_EQ(with_grid.check(), "");
+    for (const ITlbSpec& bad : {ITlbSpec{0, 4096, 64},
+                                ITlbSpec{64, 3000, 64},
+                                ITlbSpec{64, 4096, 48},
+                                ITlbSpec{64, 0, 64}}) {
+        SweepSpec spec = tlb_only;
+        spec.itlb.push_back(bad);
+        EXPECT_NE(spec.check(), "")
+            << bad.entries << " " << bad.page_bytes << " "
+            << bad.fetch_bytes;
+    }
 }
 
 /** A program of `blocks` random-sized blocks (paired into procs). */
@@ -207,23 +248,6 @@ TEST(Sweep, MatchesPerConfigReplayRandomized)
             }
         }
     }
-}
-
-/**
- * A synthetic image in which every other unconditional branch block is
- * branch-only (one instruction), so a chain+split layout that makes
- * its target the fall-through deletes the branch and leaves a
- * zero-size block.
- */
-synth::SyntheticProgram
-withBranchOnlyBlocks(synth::SyntheticProgram image)
-{
-    int seen = 0;
-    for (program::ProcId p = 0; p < image.prog.numProcs(); ++p)
-        for (program::BasicBlock& blk : image.prog.proc(p).blocks)
-            if (blk.term == Terminator::UncondBranch && seen++ % 2 == 0)
-                blk.sizeInstrs = 1;
-    return image;
 }
 
 TEST(Sweep, PoolWidthsAgree)
@@ -378,6 +402,167 @@ TEST(Sweep, ParallelJobsMatchSerial)
                               .misses);
 }
 
+/** Perturbed candidate layouts of one image. */
+std::vector<core::Layout>
+perturbedLayouts(const program::Program& prog, opt::Candidate cand,
+                 std::uint32_t align, std::uint64_t text_base,
+                 std::uint64_t seed, int count)
+{
+    core::AssignOptions aopts;
+    aopts.text_base = text_base;
+    aopts.segment_align = align;
+    support::Pcg32 rng(seed, align);
+    std::vector<core::Layout> out;
+    out.push_back(opt::materialize(cand, prog, aopts));
+    for (int i = 1; i < count; ++i) {
+        opt::perturb(cand, rng, 1 + static_cast<int>(rng.nextBounded(6)));
+        out.push_back(opt::materialize(cand, prog, aopts));
+    }
+    return out;
+}
+
+/** The iTLB specs priced alongside one cache: 4KB/2MB pages at 8/64
+ *  entries, fetched at `fetch`. */
+void
+addSpecs(std::vector<ITlbSpec>& specs, std::uint32_t fetch)
+{
+    for (std::uint32_t page : {4096u, 2u * 1024 * 1024})
+        for (std::uint32_t entries : {8u, 64u})
+            specs.push_back({entries, page, fetch});
+}
+
+TEST(SweepFuzz, MatchesReplayerOraclesOnPerturbedLayouts)
+{
+    TwoImageWorkload& w = twoImageWorkload();
+    ASSERT_EQ(w.buf.numCpus(), kTwoImageCpus);
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    const opt::Candidate app_seed = opt::candidateFromLayout(
+        core::buildLayout(w.app.prog, w.prof, popts));
+    const opt::Candidate kern_seed = opt::candidateFromLayout(
+        core::baselineLayout(w.kern.prog, 0x400000));
+
+    // Each cache is priced with iTLBs fetched at its line size, at
+    // another granularity, both, or none.
+    struct Case
+    {
+        mem::CacheConfig cache;
+        bool itlb_at_line;
+        bool itlb_at_other;
+    };
+    const std::vector<Case> cases = {
+        {{8 * 1024, 32, 1}, true, true},
+        {{16 * 1024, 64, 2}, false, true},
+        {{64 * 1024, 128, 4}, true, false},
+        {{4 * 1024, 128, 1}, true, true},
+        {{8 * 1024, 32, 4}, false, true},
+        {{32 * 1024, 64, 1}, false, false},
+    };
+    const StreamFilter filters[] = {StreamFilter::AppOnly,
+                                    StreamFilter::KernelOnly,
+                                    StreamFilter::Combined};
+    std::uint64_t checked = 0;
+    for (std::uint32_t align : {4u, 4096u}) {
+        std::uint64_t zero_sized_refs = 0;
+        const std::vector<core::Layout> apps = perturbedLayouts(
+            w.app.prog, app_seed, align, 0x10000000ULL, 17, 4);
+        const std::vector<core::Layout> kerns = perturbedLayouts(
+            w.kern.prog, kern_seed, align, 0x400000, 29, 4);
+        for (StreamFilter filter : filters) {
+            const BlockStream stream = buildBlockStream(w.buf, filter);
+            for (std::size_t li = 0; li < apps.size(); ++li) {
+                const core::Layout& app = apps[li];
+                const core::Layout& kern = kerns[li];
+                for (std::uint32_t id : stream.ids) {
+                    const bool kernel = (id & kKernelBlockTag) != 0;
+                    const std::uint32_t g = id & kBlockIdMask;
+                    zero_sized_refs +=
+                        (kernel ? kern : app).blockSize(g) == 0;
+                }
+                const Replayer rep(w.buf, app, &kern);
+                for (const Case& cs : cases) {
+                    const mem::CacheConfig& c = cs.cache;
+                    SCOPED_TRACE("align " + std::to_string(align) +
+                                 " filter " +
+                                 std::to_string(static_cast<int>(filter)) +
+                                 " layout " + std::to_string(li) + " " +
+                                 c.label());
+                    SweepSpec spec;
+                    spec.size_bytes = {c.size_bytes};
+                    spec.line_bytes = {c.line_bytes};
+                    spec.assocs = {c.assoc};
+                    if (cs.itlb_at_line)
+                        addSpecs(spec.itlb, c.line_bytes);
+                    if (cs.itlb_at_other)
+                        addSpecs(spec.itlb, c.line_bytes == 64 ? 32 : 64);
+
+                    const SweepResult r = sweepStream(
+                        stream, imageTables(&app, stream.app_blocks),
+                        imageTables(&kern, stream.kernel_blocks), spec);
+                    const ICacheReplayResult ic = rep.icache(c, filter);
+                    EXPECT_EQ(r.accesses(c.line_bytes), ic.accesses);
+                    EXPECT_EQ(r.misses(c), ic.misses);
+                    ASSERT_EQ(r.itlb().size(), spec.itlb.size());
+                    for (std::size_t s = 0; s < spec.itlb.size(); ++s) {
+                        const ITlbReplayResult t =
+                            rep.itlb(spec.itlb[s], filter);
+                        EXPECT_EQ(r.itlb()[s].accesses, t.accesses)
+                            << "spec " << s;
+                        EXPECT_EQ(r.itlb()[s].misses, t.misses)
+                            << "spec " << s;
+                    }
+                    ++checked;
+                }
+            }
+        }
+        // The candidates must exercise the zero-sized-block skip.
+        EXPECT_GT(zero_sized_refs, 0u) << "align " << align;
+    }
+    EXPECT_EQ(checked, 2u * 3u * 4u * cases.size());
+}
+
+TEST(Sweep, ITlbOnlySpecMatchesOracleAtEveryPoolWidth)
+{
+    TwoImageWorkload& w = twoImageWorkload();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    const core::Layout app = core::buildLayout(w.app.prog, w.prof, popts);
+    const core::Layout kern = core::baselineLayout(w.kern.prog, 0x400000);
+    const Replayer rep(w.buf, app, &kern);
+
+    std::vector<SweepJob> jobs;
+    for (StreamFilter filter : {StreamFilter::AppOnly,
+                                StreamFilter::KernelOnly,
+                                StreamFilter::Combined}) {
+        SweepJob job{&app, &kern, filter, {}, "itlb"};
+        addSpecs(job.spec.itlb, 64);
+        addSpecs(job.spec.itlb, 16);
+        jobs.push_back(job);
+    }
+    const obs::Counter& sweep_jobs = obs::counter("sim.sweep.jobs");
+    for (int width : {0, 1, 3}) {
+        std::optional<support::ThreadPool> pool;
+        if (width > 0)
+            pool.emplace(width);
+        const std::uint64_t before = sweep_jobs.value();
+        const std::vector<SweepResult> out =
+            runSweepJobs(w.buf, jobs, pool ? &*pool : nullptr);
+        EXPECT_EQ(sweep_jobs.value() - before, jobs.size());
+        ASSERT_EQ(out.size(), jobs.size());
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const std::vector<ITlbSpec>& specs = jobs[j].spec.itlb;
+            ASSERT_EQ(out[j].itlb().size(), specs.size());
+            for (std::size_t s = 0; s < specs.size(); ++s) {
+                const ITlbReplayResult t = rep.itlb(specs[s], jobs[j].filter);
+                EXPECT_EQ(out[j].itlb()[s].accesses, t.accesses)
+                    << "width " << width << " job " << j << " spec " << s;
+                EXPECT_EQ(out[j].itlb()[s].misses, t.misses)
+                    << "width " << width << " job " << j << " spec " << s;
+            }
+        }
+    }
+}
+
 using SweepDeathTest = ::testing::Test;
 
 TEST(SweepDeathTest, BadGeometryAborts)
@@ -395,6 +580,36 @@ TEST(SweepDeathTest, BadGeometryAborts)
     EXPECT_DEATH(runSweepJobs(buf, {{&layout, nullptr,
                                      StreamFilter::AppOnly, bad, "bad"}}),
                  "bad sweep spec");
+}
+
+TEST(SweepDeathTest, SpecWithoutCachesOrITlbsDies)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Program app = randomProgram("app", 4, 1);
+    core::Layout layout = core::baselineLayout(app, 0);
+    trace::TraceBuffer buf = randomTrace(4, 10, 1, 2);
+    SweepSpec none;
+    EXPECT_DEATH(runSweepJobs(buf, {{&layout, nullptr,
+                                     StreamFilter::AppOnly, none, "none"}}),
+                 "bad sweep spec \\(none\\): sweep needs a cache grid or "
+                 "an iTLB spec");
+    const BlockStream stream = buildBlockStream(buf, StreamFilter::AppOnly);
+    EXPECT_DEATH(sweepStream(stream, imageTables(&layout, stream.app_blocks),
+                             {}, none),
+                 "sweep needs a cache grid or an iTLB spec");
+}
+
+TEST(SweepDeathTest, NonPowerOfTwoITlbPageDies)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Program app = randomProgram("app", 4, 1);
+    core::Layout layout = core::baselineLayout(app, 0);
+    trace::TraceBuffer buf = randomTrace(4, 10, 1, 2);
+    SweepSpec spec;
+    spec.itlb = {{64, 4096, 64}, {64, 6144, 64}};
+    EXPECT_DEATH(runSweepJobs(buf, {{&layout, nullptr,
+                                     StreamFilter::AppOnly, spec, "tlb"}}),
+                 "iTLB page size 6144B is not a power of two");
 }
 
 } // namespace
