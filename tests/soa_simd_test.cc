@@ -737,8 +737,6 @@ TEST(BlockStream, DataRefsKeepGlobalOrderUnderAppOnlyAndCombined)
     }
 }
 
-/** A block id or data index must stay below the tag bits: a block id
- *  that reaches them dies instead of aliasing a tagged id. */
 TEST(PriceFuzz, BlockStreamKeepsEachCpusFilteredRefsInTraceOrder)
 {
     TwoImageWorkload& w = twoImageWorkload();
@@ -776,6 +774,8 @@ TEST(PriceFuzz, BlockStreamKeepsEachCpusFilteredRefsInTraceOrder)
     }
 }
 
+/** A block id or data index must stay below the tag bits: a block id
+ *  that reaches them dies instead of aliasing a tagged id. */
 TEST(BlockStreamDeathTest, IdCollidingWithATagDies)
 {
     for (std::uint32_t bad : {kDataRefTag, kRunBreakTag, kKernelBlockTag,
