@@ -429,23 +429,6 @@ BenchReplay::resolved(sim::StreamFilter filter, bool include_data)
     return it->second;
 }
 
-sim::SweepSpec
-sweepSpecFor(std::span<const mem::CacheConfig> configs)
-{
-    sim::SweepSpec spec;
-    spec.assocs.clear();
-    const auto add = [](std::vector<std::uint32_t>& dim, std::uint32_t v) {
-        if (std::find(dim.begin(), dim.end(), v) == dim.end())
-            dim.push_back(v);
-    };
-    for (const mem::CacheConfig& config : configs) {
-        add(spec.size_bytes, config.size_bytes);
-        add(spec.line_bytes, config.line_bytes);
-        add(spec.assocs, config.assoc);
-    }
-    return spec;
-}
-
 ICacheCounts
 BenchReplay::icache(const mem::CacheConfig& config,
                     sim::StreamFilter filter)
@@ -466,17 +449,12 @@ BenchReplay::icacheColumn(std::span<const mem::CacheConfig> configs,
         }
         return out;
     }
-    if (configs.empty())
-        return out;
-
     // One walk prices every cell of the grid the column spans.
-    const sim::SweepJob job{&rep_.app(), rep_.kernel(), filter,
-                            sweepSpecFor(configs), ""};
-    const sim::SweepResult sweep =
-        sim::runSweepJobs(rep_.trace(), {job}, pool_)[0];
-    for (const mem::CacheConfig& config : configs)
-        out.push_back({sweep.accesses(config.line_bytes),
-                       sweep.misses(config)});
+    const sim::ResolvedTraceSoA& res = resolved(filter, false);
+    for (const sim::ICacheReplayResult& r :
+         sim::sweepColumn(res.stream, res.app, res.kernel, configs,
+                          /*interference=*/false, pool_))
+        out.push_back({r.accesses, r.misses});
     return out;
 }
 
@@ -553,12 +531,9 @@ BenchReplay::itlbColumn(std::span<const sim::ITlbSpec> specs,
             out.push_back(rep_.itlb(spec, filter));
         return out;
     }
-    if (specs.empty())
-        return {};
     // One sweep job prices every spec of the column.
-    sim::SweepJob job{&rep_.app(), rep_.kernel(), filter, {}, ""};
-    job.spec.itlb.assign(specs.begin(), specs.end());
-    return sim::runSweepJobs(rep_.trace(), {job}, pool_)[0].itlb();
+    return sim::replayITlb(resolved(filter, false), specs,
+                           sim::SimdMode::Auto, pool_);
 }
 
 sim::HierarchyReplayResult

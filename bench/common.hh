@@ -252,21 +252,17 @@ struct ICacheCounts
     std::uint64_t misses = 0;
 };
 
-/** The sweep grid spanned by a column of configs: its distinct sizes,
- *  line sizes and associativities, in first-seen order. */
-sim::SweepSpec sweepSpecFor(std::span<const mem::CacheConfig> configs);
-
 /**
  * Replay dispatcher for the figure benches: one trace + layout pair,
  * replayed either by the scalar per-config Replayer walks (no pool —
- * the oracle) or by the production paths. Plain i-cache and
- * standalone-iTLB miss counts come from one sweep job over the trace
- * (sim/sweep.hh); every other family, and the i-cache interference
- * matrix, comes from the SoA kernels of sim/engine.hh over a
- * per-CPU-partitioned structure-of-arrays trace (sim/soa.hh), resolved
- * once per (filter, data) key and cached. All paths produce bit-identical results, so
- * every bench table is byte-identical across `--threads` settings; a
- * column of configurations is priced by one fused walk.
+ * the oracle) or by the production paths over one resolved trace per
+ * (filter, data) key (sim/soa.hh), built once and cached: i-cache
+ * misses, the interference matrix included, and standalone-iTLB
+ * misses from the LRU-stack sweep over its block stream
+ * (sim/sweep.hh); every other family from the SoA kernels of
+ * sim/engine.hh. All paths produce bit-identical results, so every
+ * bench table is byte-identical across `--threads` settings; a column
+ * of configurations is priced by one fused walk.
  */
 class BenchReplay
 {
@@ -297,8 +293,8 @@ class BenchReplay
     std::vector<ICacheCounts>
     icacheColumn(std::span<const mem::CacheConfig> configs,
                  sim::StreamFilter filter);
-    /** Misses split by stream and by victim owner (Figure 13); the
-     *  one i-cache query the sweep does not answer. */
+    /** Misses split by stream and by victim owner (Figure 13): one
+     *  sweep job with interference tracking. */
     sim::ICacheReplayResult
     icacheInterference(const mem::CacheConfig& config,
                        sim::StreamFilter filter);

@@ -1,7 +1,9 @@
 /**
  * @file
- * Headline microbenchmark for the production replay path — the SoA
- * replay kernels (sim/engine.hh, sim/kernels.hh) — against its oracle.
+ * Headline microbenchmark for the production replay path — the
+ * sim/engine.hh entry points over Replayer::resolveSoA: the SoA
+ * replay kernels, and the LRU-stack sweep for i-cache and iTLB
+ * columns — against its oracle.
  * One multiprocessor trace (4 simulated CPUs) is replayed through
  * every simulator family — i-cache columns with interference
  * attribution, three-C classification, stream buffers, word-granular
@@ -10,7 +12,8 @@
  * instruction count — several ways:
  *
  *   per-config oracle   one scalar Replayer walk per configuration
- *   soa scalar          Replayer::resolveSoA, the SoA kernels, no pool
+ *   soa scalar          Replayer::resolveSoA, the production paths, no
+ *                       pool
  *   soa pooled          same, sharded across a pool
  *
  * All paths must produce bit-identical results (the process exits
@@ -26,10 +29,11 @@
  *  - per-family columns: the i-cache, three-C, stream-buffer and iTLB
  *    columns, once each.
  *  - the fig04 grid: the paper's 25-configuration direct-mapped
- *    sweep ({32..512}KB x {16..256}B), single-threaded, through the
- *    SoA i-cache kernel and through the LRU-stack sweep
- *    (sim/sweep.hh), the production engine for plain miss grids. The
- *    sweep's counts are bit-compared with the SoA grid's.
+ *    sweep ({32..512}KB x {16..256}B), single-threaded, on the
+ *    LRU-stack sweep (sim/sweep.hh) twice: with interference tracking
+ *    over the resolved trace (replayICache, bit-compared with 25
+ *    per-config oracle walks), and as a plain runSweepJobs job that
+ *    builds its own block stream (bit-compared with the first).
  *
  * Usage: micro_replay [profile_txns] [trace_txns] [--results-out FILE]
  */
@@ -60,7 +64,18 @@ icacheConfigs()
     return configs;
 }
 
-/** The paper's Figure 4 grid: 25 direct-mapped configurations. */
+/** The paper's Figure 4 grid as a sweep spec. */
+sim::SweepSpec
+fig04Spec()
+{
+    sim::SweepSpec spec;
+    for (std::uint32_t kb : {32, 64, 128, 256, 512})
+        spec.size_bytes.push_back(kb * 1024);
+    spec.line_bytes = {16, 32, 64, 128, 256};
+    return spec;
+}
+
+/** The same grid as 25 direct-mapped configurations, size-major. */
 std::vector<mem::CacheConfig>
 fig04Grid()
 {
@@ -124,7 +139,7 @@ struct SuiteResults
 /** How runSuite reaches the simulators. */
 enum class SuitePath {
     Oracle, ///< one scalar Replayer walk per configuration
-    SoA,    ///< Replayer::resolveSoA, then the SoA kernels
+    SoA,    ///< Replayer::resolveSoA, then the production paths
 };
 
 double
@@ -427,7 +442,7 @@ main(int argc, char** argv)
 {
     bench::ObsRun obs(bench::obsOptionsFromEnv(), argc, argv);
     bench::banner("Replay engine microbenchmark",
-                  "per-config oracle vs SoA kernels (bit-identical)");
+                  "per-config oracle vs production paths (bit-identical)");
 
     std::uint64_t positional[2] = {400, 300};
     const char* positional_names[2] = {"profile_txns", "trace_txns"};
@@ -490,35 +505,37 @@ main(int argc, char** argv)
         bestOf([&] { (void)rep.resolveSoA(filter); });
 
     // Headline: the paper's 25-config direct-mapped grid (Figure 4),
-    // single-threaded. The SoA kernel's time excludes the resolve,
-    // which isolates the kernel itself; the sweep's includes building
-    // its block stream, which it does on every call.
+    // single-threaded, on the sweep. With interference (replayICache)
+    // the time excludes the resolve; the plain job's includes building
+    // its block stream, which runSweepJobs does on every call.
     const auto grid = fig04Grid();
     const sim::ResolvedTraceSoA grid_soa = rep.resolveSoA(filter);
-    std::vector<sim::ICacheReplayResult> grid_scalar;
-    const double grid_scalar_s = bestOf([&] {
-        grid_scalar = sim::replayICache(grid_soa, grid,
-                                        sim::SimdMode::Auto, nullptr);
+    std::vector<sim::ICacheReplayResult> grid_owned;
+    const double grid_owned_s = bestOf([&] {
+        grid_owned = sim::replayICache(grid_soa, grid,
+                                       sim::SimdMode::Auto, nullptr);
     });
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameICache(rep.icache(grid[i], filter), grid_scalar[i])) {
+        if (!sameICache(rep.icache(grid[i], filter), grid_owned[i])) {
             std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
-                      << " of the SoA kernel diverges from the oracle\n";
+                      << " of the interference sweep diverges from the "
+                         "oracle\n";
             std::exit(1);
         }
     }
-    const sim::SweepJob grid_job{&app, &kernel, filter,
-                                 bench::sweepSpecFor(grid), "fig04"};
+    const sim::SweepJob grid_job{&app, &kernel, filter, fig04Spec(),
+                                 "fig04"};
     std::vector<sim::SweepResult> grid_sweep;
     const double grid_sweep_s = bestOf([&] {
         grid_sweep = sim::runSweepJobs(buf, {grid_job}, nullptr);
     });
     for (std::size_t i = 0; i < grid.size(); ++i) {
         if (grid_sweep[0].accesses(grid[i].line_bytes) !=
-                grid_scalar[i].accesses ||
-            grid_sweep[0].misses(grid[i]) != grid_scalar[i].misses) {
+                grid_owned[i].accesses ||
+            grid_sweep[0].misses(grid[i]) != grid_owned[i].misses) {
             std::cerr << "[micro_replay] FAIL: fig04 grid config " << i
-                      << " of the sweep diverges from the SoA kernel\n";
+                      << " of the plain sweep diverges from the "
+                         "interference sweep\n";
             std::exit(1);
         }
     }
@@ -563,8 +580,9 @@ main(int argc, char** argv)
               << "pooled vs scalar:    " << pooled_speedup << "x\n"
               << "end-to-end speedup:  " << end_to_end << "x\n"
               << "resolve phase:       " << resolve_s << " s\n"
-              << "fig04 grid (25 cfg): soa scalar " << grid_scalar_s
-              << " s, sweep " << grid_sweep_s << " s\n"
+              << "fig04 grid (25 cfg): interference sweep "
+              << grid_owned_s << " s, plain sweep " << grid_sweep_s
+              << " s\n"
               << "per-family columns (s): icache " << family_icache
               << "  threec " << family_threec << "  sbuf " << family_sbuf
               << "  itlb " << family_itlb << "\n";
@@ -595,10 +613,10 @@ main(int argc, char** argv)
          << "  \"end_to_end_speedup\": " << end_to_end << ",\n"
          << "  \"resolve_seconds\": " << resolve_s << ",\n"
          << "  \"icache_grid_configs\": " << grid.size() << ",\n"
-         << "  \"icache_grid_soa_scalar_seconds\": " << grid_scalar_s
+         << "  \"icache_grid_interference_seconds\": " << grid_owned_s
          << ",\n"
          << "  \"icache_grid_sweep_seconds\": " << grid_sweep_s << ",\n"
-         << "  \"family_scalar_icache_seconds\": " << family_icache
+         << "  \"family_icache_seconds\": " << family_icache
          << ",\n"
          << "  \"family_threec_seconds\": " << family_threec << ",\n"
          << "  \"family_streambuf_seconds\": " << family_sbuf << ",\n"

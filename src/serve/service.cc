@@ -1,6 +1,7 @@
 #include "serve/service.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "serve/queueing.hh"
 #include "sim/kernels_detail.hh"
@@ -15,17 +16,12 @@ namespace {
  *  way distinct address spaces do (different pages, same capacity). */
 constexpr std::uint64_t kTenantSaltShift = 44;
 
-const core::Layout&
-layoutFor(trace::ImageId image, const core::Layout& app,
-          const core::Layout* kernel)
+/** One image's block tables, by global block id. */
+struct Tables
 {
-    if (image == trace::ImageId::App)
-        return app;
-    SPIKESIM_ASSERT(kernel != nullptr,
-                    "service model needs a kernel layout for kernel "
-                    "events");
-    return *kernel;
-}
+    std::span<const std::uint64_t> addr;
+    std::span<const std::uint32_t> size; ///< instructions
+};
 
 } // namespace
 
@@ -58,6 +54,12 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
         static_cast<std::size_t>(config.tenants);
     const auto segs = segments(trace);
     const auto& events = trace.events();
+    // Gather straight from the layouts' block tables; the one check per
+    // block event is the bounds check below. No kernel layout leaves
+    // the kernel tables empty, so a kernel event fails that check.
+    Tables tables[2] = {{app.blockAddrs(), app.blockSizes()}, {}};
+    if (kernel != nullptr)
+        tables[1] = {kernel->blockAddrs(), kernel->blockSizes()};
 
     // Private L1 I/D per (tenant, cpu); shared L2 + iTLB per cpu. The
     // flat state of the hierarchy replay kernel: only the outcomes are
@@ -106,13 +108,17 @@ ServiceModel::ServiceModel(const trace::TraceBuffer& trace,
                     c += p.mem_cycles;
                 continue;
             }
-            const core::Layout& layout = layoutFor(e.image, app, kernel);
-            const std::uint64_t bytes = layout.blockBytes(e.block);
-            if (bytes == 0)
+            const Tables& img =
+                tables[e.image == trace::ImageId::Kernel ? 1 : 0];
+            SPIKESIM_ASSERT(e.block < img.size.size(),
+                            "service model: block " << e.block
+                                << " is outside its image's layout (kernel "
+                                   "events need a kernel layout)");
+            const std::uint64_t instrs = img.size[e.block];
+            if (instrs == 0)
                 continue;
-            const std::uint64_t addr = layout.blockAddr(e.block);
-            const std::uint64_t end = addr + bytes;
-            const std::uint64_t instrs = layout.blockSize(e.block);
+            const std::uint64_t addr = img.addr[e.block];
+            const std::uint64_t end = addr + instrs * program::kInstrBytes;
             stats_.instrs += instrs;
             c += static_cast<double>(instrs) * p.cpi_base;
             if (addr != expected[tc]) {

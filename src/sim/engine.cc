@@ -130,23 +130,8 @@ replayICache(const ResolvedTraceSoA& soa,
              std::span<const mem::CacheConfig> configs, SimdMode,
              support::ThreadPool* pool)
 {
-    return replayShards<ICacheReplayResult>(
-        soa, configs, pool,
-        detail::runIcacheShardImpl,
-        [](std::size_t, std::span<const ICacheReplayResult> cpus) {
-            ICacheReplayResult r;
-            for (const ICacheReplayResult& p : cpus) {
-                r.accesses += p.accesses;
-                r.misses += p.misses;
-                r.app_misses += p.app_misses;
-                r.kernel_misses += p.kernel_misses;
-                for (int m = 0; m < 2; ++m)
-                    for (int v = 0; v < 3; ++v)
-                        r.interference.counts[m][v] +=
-                            p.interference.counts[m][v];
-            }
-            return r;
-        });
+    return sweepColumn(soa.stream, soa.app, soa.kernel, configs,
+                       /*interference=*/true, pool);
 }
 
 std::vector<mem::ThreeCStats>

@@ -17,9 +17,10 @@
  * layout pair's block tables, sim/soa.hh) against many cache
  * configurations in a single fused walk per simulator family, sharded
  * across a thread pool by CPU. Each walk gathers a ref's (addr, size)
- * from the tables as it goes; the trace holds 4 bytes per ref. Every family has exactly one oracle —
- * the scalar per-config Replayer walk — and this one production path;
- * tests/replay_parallel_test.cc bit-compares the two.
+ * from the tables as it goes; the trace holds 4 bytes per ref. Every
+ * family has exactly one oracle — the scalar per-config Replayer walk
+ * — and this one production path; tests/replay_parallel_test.cc
+ * bit-compares the two.
  *
  * Two structural facts make every result bit-identical to the oracle:
  *
@@ -45,29 +46,30 @@
  * column (BlockStream::data_words/data_cpus), which keeps that global
  * order.
  *
- * Every family but the sequence analysis runs through one driver
- * (engine.cc): each (CPU, config-chunk) cell runs the family's kernel
- * from sim/kernels_detail.hh on a detail::Shard, the cells' outputs
- * are kept per (config, CPU), and each config's result is merged from
- * its per-CPU partials in CPU order. An empty config span returns an
- * empty vector and runs no shard. Every family has one scalar kernel.
- * The i-cache, three-C, iTLB and stream-buffer entry points keep a
- * SimdMode parameter for source compatibility (sim/kernels.hh) and
- * ignore it.
+ * The three-C, stream-buffer, instrumented and hierarchy families run
+ * through one shard loop (replayShards, engine.cc): each (CPU,
+ * config-chunk) cell runs the family's kernel from
+ * sim/kernels_detail.hh on a detail::Shard, the cells' outputs are
+ * kept per (config, CPU), and each config's result is merged from its
+ * per-CPU partials in CPU order. An empty config span returns an empty
+ * vector and runs no shard (and no sweep job). Every family has one
+ * scalar kernel. The i-cache, three-C, iTLB and stream-buffer
+ * entry points keep a SimdMode parameter for source compatibility
+ * (sim/kernels.hh) and ignore it.
  *
- * Plain i-cache miss grids do not come through here: the LRU-stack
- * sweep (sim/sweep.hh) prices them from the layout-independent block
- * stream. replayICache serves what the sweep does not count, the
- * app/kernel split and Figure 13's interference matrix. replayITlb is
- * a front for the sweep: one job with only iTLB specs over the
- * resolved trace's stream and tables (sim::sweepStream), so it adds
- * to the sim.sweep.* counters, not to sim.replay.*.
+ * Two entry points are fronts for the LRU-stack sweep (sim/sweep.hh),
+ * which prices them from the resolved trace's stream and tables
+ * (sim::sweepStream), so they add to the sim.sweep.* counters, not to
+ * sim.replay.*: replayICache is one sweep job with interference
+ * tracking per valid grid its configs span (one for the usual
+ * column), and replayITlb one job with only iTLB specs.
  */
 
 namespace spikesim::sim {
 
 /** Line-granular i-cache replay with interference attribution, one
- *  result per config (Figure 13). */
+ *  result per config (Figure 13): sweepColumn() over soa.stream
+ *  through soa's tables. An empty span runs nothing. */
 std::vector<ICacheReplayResult>
 replayICache(const ResolvedTraceSoA& soa,
              std::span<const mem::CacheConfig> configs,

@@ -13,10 +13,9 @@
  *
  * All kernels live in kernels_detail.hh, one scalar kernel per
  * simulator family, and sim/engine.cc calls them directly on
- * detail::Shard cells. Plain i-cache miss grids run on the LRU-stack
- * sweep (sim/sweep.hh) instead; the SoA i-cache kernel serves
- * interference attribution and the differential checks against the
- * per-config Replayer oracle.
+ * detail::Shard cells. I-cache misses, Figure 13's interference
+ * matrix included, and standalone iTLBs have no shard kernel: they
+ * run on the LRU-stack sweep (sim/sweep.hh).
  */
 
 namespace spikesim::sim {
@@ -77,8 +76,6 @@ struct Shard
     std::size_t k1 = 0;
     Out* out = nullptr;
 };
-
-using IcacheShard = Shard<mem::CacheConfig, ICacheReplayResult>;
 
 } // namespace detail
 

@@ -24,12 +24,12 @@
  * (one CPU's slice of a ResolvedTraceSoA, one config chunk); every
  * kernel overwrites its cell's outputs and nothing else. A slice is
  * tagged ids (sim/soa.hh): each kernel gathers a block ref's (addr,
- * size) from the resolved trace's block tables, takes the owner from
- * the kernel tag, and skips zero-sized blocks; the hierarchy kernel
- * reads a data ref's word from the data column.
+ * size) from the resolved trace's block tables and skips zero-sized
+ * blocks; the hierarchy kernel reads a data ref's word from the data
+ * column.
  *
- * The i-cache, three-C, stream-buffer and instrumented kernels are
- * one walk with different probes. The shared pieces are cursors
+ * The three-C, stream-buffer and instrumented kernels are one walk
+ * with different probes. The shared pieces are cursors
  * that the kernels' own loops call, not callbacks: GCC kept probe
  * lambdas out of line, a call per ref.
  *
@@ -49,8 +49,8 @@
  *    no state change, so only the counter moves. Instruction streams
  *    are sequential, so this path takes a large share of fetches.
  *
- * The i-cache and three-C kernels also share one tag-table layout
- * (TagTables):
+ * The three-C kernel keeps its real caches in one tag-table layout
+ * (TagTables), which the hierarchy's FlatCache follows:
  *
  *  - Direct-mapped members share one inclusive check: the set masks
  *    at one line size are nested low-bit masks, so if the fewest-set
@@ -67,12 +67,9 @@
  *    SetAssocCache victim order exactly (invalid ways fill from the
  *    highest index down, then true LRU).
  *
- * Interference attribution needs the victim owner, so every i-cache
- * table slot also carries an owner byte (0 app / 1 kernel / 2 cold)
- * that is only written on fills, identical to the oracle's owner-tag
- * semantics.
- *
- * The hierarchy kernel (data refs too, one L1 per group of equal L1
+ * Plain i-cache misses and Figure 13's interference matrix have no
+ * shard kernel: the LRU-stack sweep (sim/sweep.cc) counts them,
+ * victim owners included. The hierarchy kernel (data refs too, one L1 per group of equal L1
  * geometry) and sequence analysis (sim/engine.cc, on InstrRefWalk's
  * run breaks) keep their own loops; the hierarchy's flat per-CPU state
  * also backs serve::ServiceModel. Standalone iTLBs have no shard
@@ -83,18 +80,12 @@
 namespace spikesim::sim::detail {
 
 inline constexpr std::uint64_t kInvalidTag = ~0ULL;
-/** Victim-owner code for an invalid (cold) entry. */
-inline constexpr std::uint8_t kOwnerCold = 2;
-
-/** Lead (in refs) for the tag-line prefetch of the biggest DM table. */
-inline constexpr std::size_t kTagPrefetch = 4;
 
 /** One instruction ref of a CPU's slice, as the walks see it. */
 struct InstrRef
 {
     std::uint64_t addr = 0;      ///< first byte
     std::uint64_t last_byte = 0; ///< last byte (inclusive)
-    std::uint8_t owner = 0;      ///< mem::Owner::App or Owner::Kernel
     /** A filtered-out image's block event came between this ref and
      *  the previous one (kRunBreakTag, carried past zero-sized
      *  blocks). */
@@ -131,16 +122,6 @@ class InstrRefWalk
         return true;
     }
 
-    /** The start address of the ref kTagPrefetch past the last one
-     *  yielded (that ref's own near the end of a batch): a prefetch
-     *  hint only. */
-    std::uint64_t
-    ahead() const
-    {
-        const std::size_t j = pos_ - 1 + kTagPrefetch;
-        return buf_[j < n_ ? j : pos_ - 1].addr;
-    }
-
   private:
     static constexpr std::size_t kBatch = 256;
 
@@ -161,8 +142,7 @@ class InstrRefWalk
             if ((id & kDataRefTag) != 0)
                 continue;
             pending |= id & kRunBreakTag;
-            const bool is_kernel = (id & kKernelBlockTag) != 0;
-            const BlockTables& img = is_kernel ? kernel : app;
+            const BlockTables& img = tablesFor(id, app, kernel);
             const std::uint32_t g = id & kBlockIdMask;
             const std::uint32_t size = img.size[g];
             // Written unconditionally; a zero-sized block is dropped by
@@ -173,8 +153,6 @@ class InstrRefWalk
                           static_cast<std::uint64_t>(size) *
                               program::kInstrBytes -
                           1;
-            r.owner = static_cast<std::uint8_t>(
-                is_kernel ? mem::Owner::Kernel : mem::Owner::App);
             r.run_break = pending != 0;
             const bool keep = size != 0;
             n += keep ? 1 : 0;
@@ -281,7 +259,7 @@ struct AssocMember
     std::size_t slot = 0;
     std::uint32_t assoc = 0;
     std::uint64_t set_mask = 0;
-    std::size_t base = 0; ///< start in am_tags/am_ages (and owners)
+    std::size_t base = 0; ///< start in am_tags/am_ages
 };
 
 /** The tag tables of one line-size group: concatenated direct-mapped
@@ -290,7 +268,6 @@ struct TagTables
 {
     std::vector<DmMember> dm;
     std::size_t dm_min = 0; ///< member with the fewest sets
-    std::size_t dm_big = 0; ///< member with the most sets (prefetch)
     std::vector<std::uint64_t> dm_tags;
 
     std::vector<AssocMember> am;
@@ -330,8 +307,6 @@ struct TagTables
             off += d.sets;
             if (d.sets < dm[dm_min].sets)
                 dm_min = j;
-            if (d.sets > dm[dm_big].sets)
-                dm_big = j;
         }
         dm_tags.assign(off, kInvalidTag);
 
@@ -365,10 +340,10 @@ struct TagTables
     }
 };
 
-/** Stats-only set-associative probe (no owner tags): true on hit,
- *  fills the LRU victim on miss. Same age-permutation scheme as
- *  ScalarProbe::amProbe. `tags`/`ages` point at the set; the age type
- *  only needs to hold assoc - 1. */
+/** Stats-only set-associative probe: true on hit, fills the LRU
+ *  victim on miss, with the age-permutation LRU of TagTables.
+ *  `tags`/`ages` point at the set; the age type only needs to hold
+ *  assoc - 1. */
 struct ScalarStatsProbe
 {
     template <class Age>
@@ -397,136 +372,6 @@ struct ScalarStatsProbe
         return false;
     }
 };
-
-/** All i-cache configurations sharing one line size, plus their cache
- *  state and victim-owner bytes. */
-struct LineGroup : LineCursor, TagTables
-{
-    std::vector<std::uint8_t> dm_owners;
-    std::vector<std::uint8_t> am_owners;
-};
-
-/** Branch-lean i-cache probes. */
-struct ScalarProbe
-{
-    /** Probe every direct-mapped member (the inclusive check already
-     *  failed); count misses and fill. */
-    static void
-    dmSlow(LineGroup& g, std::uint64_t ln, unsigned m,
-           std::array<std::uint64_t, 6>* intf)
-    {
-        std::uint64_t* tags = g.dm_tags.data();
-        std::uint8_t* own = g.dm_owners.data();
-        for (const DmMember& d : g.dm) {
-            const std::uint64_t idx = d.offset + (ln & d.mask);
-            if (tags[idx] != ln) {
-                ++intf[d.slot][m * 3 + own[idx]];
-                tags[idx] = ln;
-                own[idx] = static_cast<std::uint8_t>(m);
-            }
-        }
-    }
-
-    /** Probe one set-associative member with age-permutation LRU: the
-     *  arithmetic of ScalarStatsProbe::amAccess plus the victim-owner
-     *  bookkeeping, written out because layering it on amAccess (by a
-     *  returned victim way or a miss callback) cost 14-22% on the
-     *  scalar 4-way i-cache column. */
-    static void
-    amProbe(LineGroup& g, const AssocMember& a, std::uint64_t ln,
-            unsigned m, std::array<std::uint64_t, 6>* intf)
-    {
-        const std::uint32_t assoc = a.assoc;
-        const std::size_t set = TagTables::amSet(a, ln);
-        std::uint64_t* tags = g.am_tags.data() + set;
-        std::uint64_t* ages = g.am_ages.data() + set;
-        std::uint8_t* own = g.am_owners.data() + set;
-
-        std::uint32_t hit = assoc;
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            hit = tags[w] == ln ? w : hit;
-        if (hit < assoc) {
-            const std::uint64_t h = ages[hit];
-            for (std::uint32_t w = 0; w < assoc; ++w)
-                ages[w] += static_cast<std::uint64_t>(ages[w] < h);
-            ages[hit] = 0;
-            return;
-        }
-        // Miss: exactly one way carries age assoc-1 (the permutation
-        // invariant), and it is the scalar cache's victim.
-        const std::uint64_t lru = assoc - 1;
-        std::uint32_t v = 0;
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            v = ages[w] == lru ? w : v;
-        ++intf[a.slot][m * 3 + own[v]];
-        tags[v] = ln;
-        own[v] = static_cast<std::uint8_t>(m);
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            ages[w] += static_cast<std::uint64_t>(ages[w] < lru);
-        ages[v] = 0;
-    }
-};
-
-inline void
-runIcacheShardImpl(const IcacheShard& sh)
-{
-    // Per config slot: interference counts indexed [m * 3 + victim].
-    std::vector<std::array<std::uint64_t, 6>> intf(sh.k1 - sh.k0);
-    std::vector<LineGroup> groups = groupBySize<LineGroup>(
-        sh.configs, sh.k0, sh.k1, checkedLineBytes,
-        [](LineGroup& g, const mem::CacheConfig& c, std::size_t slot) {
-            g.addMember(c, slot);
-        });
-    for (LineGroup& g : groups) {
-        g.layoutTables();
-        g.dm_owners.assign(g.dm_tags.size(), kOwnerCold);
-        g.am_owners.assign(g.am_tags.size(), kOwnerCold);
-    }
-
-    InstrRefWalk refs(*sh.soa, sh.cpu);
-    for (InstrRef r; refs.next(r);) {
-        const unsigned m =
-            r.owner == static_cast<std::uint8_t>(mem::Owner::App) ? 0u
-                                                                   : 1u;
-        const std::uint64_t ahead = refs.ahead();
-        for (LineGroup& g : groups) {
-            // Cover the probe latency of the biggest (least
-            // cache-resident) direct-mapped table with a short-lead
-            // slot prefetch.
-            if (!g.dm.empty()) {
-                const DmMember& big = g.dm[g.dm_big];
-                __builtin_prefetch(
-                    &g.dm_tags[big.offset +
-                               ((ahead >> g.shift) & big.mask)]);
-            }
-            const LineSpan span = g.step(r.addr, r.last_byte);
-            for (std::uint64_t ln = span.first; ln <= span.last; ++ln) {
-                if (!g.dm.empty() && !g.dmHit(ln))
-                    ScalarProbe::dmSlow(g, ln, m, intf.data());
-                for (const AssocMember& a : g.am)
-                    ScalarProbe::amProbe(g, a, ln, m, intf.data());
-            }
-        }
-    }
-
-    for (const LineGroup& g : groups) {
-        const auto fold = [&](std::size_t slot) {
-            ICacheReplayResult& r = sh.out[slot];
-            const std::array<std::uint64_t, 6>& c = intf[slot];
-            r.accesses = g.line_steps;
-            for (int mm = 0; mm < 2; ++mm)
-                for (int v = 0; v < 3; ++v)
-                    r.interference.counts[mm][v] = c[mm * 3 + v];
-            r.app_misses = c[0] + c[1] + c[2];
-            r.kernel_misses = c[3] + c[4] + c[5];
-            r.misses = r.app_misses + r.kernel_misses;
-        };
-        for (const DmMember& d : g.dm)
-            fold(d.slot);
-        for (const AssocMember& a : g.am)
-            fold(a.slot);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Flat hash structures for the three-C / iTLB / stream-buffer families.
@@ -714,8 +559,7 @@ class FlatFaLru
 // per line-size group one shared first-touch set, one shared ideal
 // FA-LRU per *distinct capacity* (ideal caches of equal capacity see
 // the identical line-step sequence, so their state is identical and
-// can be deduplicated), and the i-cache kernel's TagTables minus owner
-// tags. Per non-repeat line-step the walk reads `seen` (before setting
+// can be deduplicated), and TagTables for the real caches. Per non-repeat line-step the walk reads `seen` (before setting
 // it), accesses every ideal LRU, and classifies each member's real
 // miss as compulsory (!seen), capacity (!ideal_hit) or conflict — the
 // oracle's exact decision tree. A repeat line is also the ideal LRUs'
@@ -876,8 +720,10 @@ struct ITlbGroup : LineCursor
 
     /** Fetch the byte range [addr, last_byte]: one lookup per line
      *  step, except that a repeat of the last fetched line is the MRU
-     *  page of every member (a hit with no state change). */
-    void
+     *  page of every member (a hit with no state change). Forced
+     *  inline: with two sweep walks calling it (with and without
+     *  owner tracking) GCC kept it out of line, a call per ref. */
+    [[gnu::always_inline]] void
     walk(std::uint64_t addr, std::uint64_t last_byte)
     {
         const LineSpan span = step(addr, last_byte);

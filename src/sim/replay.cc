@@ -107,6 +107,11 @@ SweepSpec::check() const
             return "iTLB fetch size " + std::to_string(spec.fetch_bytes) +
                    "B is not a power of two";
     }
+    if (interference)
+        for (std::uint32_t assoc : assocs)
+            if (assoc > 64)
+                return "interference tracks at most 64 ways, not " +
+                       std::to_string(assoc);
     for (std::uint32_t size : size_bytes)
         for (std::uint32_t line : line_bytes)
             for (std::uint32_t assoc : assocs) {
@@ -154,9 +159,9 @@ SweepResult::accesses(std::uint32_t line_bytes) const
     return accesses_[lineIndex(line_bytes)];
 }
 
-std::uint64_t
-SweepResult::misses(std::uint32_t size_bytes, std::uint32_t line_bytes,
-                    std::uint32_t assoc) const
+std::size_t
+SweepResult::cell(std::uint32_t size_bytes, std::uint32_t line_bytes,
+                  std::uint32_t assoc) const
 {
     auto sit = size_index_.find(size_bytes);
     SPIKESIM_ASSERT(sit != size_index_.end(),
@@ -164,36 +169,36 @@ SweepResult::misses(std::uint32_t size_bytes, std::uint32_t line_bytes,
     auto ait = assoc_index_.find(assoc);
     SPIKESIM_ASSERT(ait != assoc_index_.end(),
                     "associativity " << assoc << " not in sweep");
-    return misses_[index(sit->second, lineIndex(line_bytes),
-                         ait->second)];
+    return index(sit->second, lineIndex(line_bytes), ait->second);
+}
+
+std::uint64_t
+SweepResult::misses(std::uint32_t size_bytes, std::uint32_t line_bytes,
+                    std::uint32_t assoc) const
+{
+    return misses_[cell(size_bytes, line_bytes, assoc)];
+}
+
+ICacheReplayResult
+SweepResult::icache(const mem::CacheConfig& config) const
+{
+    SPIKESIM_ASSERT(spec_.interference,
+                    "icache() needs a sweep with interference set");
+    const std::size_t k =
+        cell(config.size_bytes, config.line_bytes, config.assoc);
+    ICacheReplayResult r;
+    r.accesses = accesses(config.line_bytes);
+    r.misses = misses_[k];
+    r.interference = interference_[k];
+    r.app_misses = r.interference.missesBy(0);
+    r.kernel_misses = r.interference.missesBy(1);
+    return r;
 }
 
 ResolvedTraceSoA
 Replayer::resolveSoA(StreamFilter filter, bool include_data) const
 {
-    ResolvedTraceSoA out;
-    out.stream = buildBlockStream(trace_, filter, include_data);
-    out.app = imageTables(&app_, out.stream.app_blocks);
-    out.kernel = imageTables(kernel_, out.stream.kernel_blocks);
-    out.cpu_refs.assign(static_cast<std::size_t>(out.stream.num_cpus), 0);
-    for (int c = 0; c < out.stream.num_cpus; ++c) {
-        const auto [b, e] = out.stream.cpuRange(c);
-        std::size_t& refs = out.cpu_refs[static_cast<std::size_t>(c)];
-        for (std::size_t i = b; i < e; ++i) {
-            const std::uint32_t id = out.stream.ids[i];
-            if ((id & kDataRefTag) != 0) {
-                ++refs;
-                continue;
-            }
-            const std::uint32_t size =
-                detail::tablesFor(id, out.app, out.kernel)
-                    .size[id & kBlockIdMask];
-            ++out.instr_events;
-            out.instrs += size;
-            refs += size != 0 ? 1 : 0;
-        }
-    }
-    return out;
+    return resolveBlockStream(trace_, filter, include_data, app_, kernel_);
 }
 
 WordStats

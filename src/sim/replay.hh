@@ -24,9 +24,10 @@
  * Replayer's per-config walks are the scalar oracle of every simulator
  * family: each family has this one oracle and one production path, the
  * SoA kernels of sim/engine.hh over a Replayer::resolveSoA trace, except
- * that plain i-cache and standalone-iTLB misses come from the sweep
- * (sim/sweep.hh; SweepSpec carries both, and sim::replayITlb is one
- * sweep job). All the production paths walk one trace form, the
+ * that i-cache misses (the interference matrix included) and
+ * standalone-iTLB misses come from the sweep (sim/sweep.hh; SweepSpec
+ * carries both, and sim::replayICache and sim::replayITlb are sweep
+ * jobs). All the production paths walk one trace form, the
  * layout-independent BlockStream of sim/soa.hh, gathering addresses
  * from the layouts' block tables. Tests bit-compare every production
  * path against these walks.
@@ -82,6 +83,32 @@ struct ITlbSpec
  */
 using ITlbReplayResult = support::AccessStats;
 
+/** App/kernel interference matrix (Figure 13). */
+struct InterferenceMatrix
+{
+    /**
+     * counts[m][v]: misses by stream m (0 = app, 1 = kernel) that
+     * displaced a line owned by v (0 = app, 1 = kernel, 2 = cold fill).
+     */
+    std::uint64_t counts[2][3] = {{0, 0, 0}, {0, 0, 0}};
+
+    std::uint64_t
+    missesBy(int m) const
+    {
+        return counts[m][0] + counts[m][1] + counts[m][2];
+    }
+};
+
+/** Result of a line-granular instruction cache replay. */
+struct ICacheReplayResult
+{
+    std::uint64_t accesses = 0; ///< line fetches
+    std::uint64_t misses = 0;
+    std::uint64_t app_misses = 0;
+    std::uint64_t kernel_misses = 0;
+    InterferenceMatrix interference;
+};
+
 /**
  * A sweep: a cache-geometry grid, the cross product of sizes x line
  * sizes x associativities, plus standalone iTLBs priced by the same
@@ -96,6 +123,14 @@ struct SweepSpec
     /** Standalone iTLBs: entries > 0, power-of-two page and fetch
      *  sizes. */
     std::vector<ITlbSpec> itlb;
+    /**
+     * Also split every grid cell's misses by the missing stream and
+     * the victim line's owner (SweepResult::icache; Figure 13). Costs
+     * an owner byte per direct-mapped slot and an owner bit per
+     * (LRU-stack entry, associativity) in the walk, so assocs must be
+     * at most 64.
+     */
+    bool interference = false;
 
     /** Empty when every combination is consistent, else a complaint. */
     std::string check() const;
@@ -143,6 +178,13 @@ class SweepResult
                misses(size_bytes, line_bytes, assoc);
     }
 
+    /**
+     * One configuration as Replayer::icache counts it: accesses,
+     * misses, the app/kernel split and the interference matrix. Needs
+     * SweepSpec::interference.
+     */
+    ICacheReplayResult icache(const mem::CacheConfig& config) const;
+
     /** One result per SweepSpec::itlb entry, in spec order. */
     const std::vector<ITlbReplayResult>& itlb() const { return itlb_; }
 
@@ -153,10 +195,15 @@ class SweepResult
     std::size_t lineIndex(std::uint32_t line_bytes) const;
     std::size_t index(std::size_t si, std::size_t li,
                       std::size_t ai) const;
+    /** index() of a configuration; dies when it is not in the grid. */
+    std::size_t cell(std::uint32_t size_bytes, std::uint32_t line_bytes,
+                     std::uint32_t assoc) const;
 
     SweepSpec spec_;
     std::vector<std::uint64_t> accesses_; ///< per line-size index
     std::vector<std::uint64_t> misses_;   ///< [li][si][ai], line-major
+    /** Per configuration, like misses_ (SweepSpec::interference). */
+    std::vector<InterferenceMatrix> interference_;
     std::vector<ITlbReplayResult> itlb_;  ///< per iTLB spec
     // Dimension-value -> index maps, built once by the constructor so
     // the accessors (called per table cell by the benches) don't
@@ -164,32 +211,6 @@ class SweepResult
     std::unordered_map<std::uint32_t, std::size_t> size_index_;
     std::unordered_map<std::uint32_t, std::size_t> line_index_;
     std::unordered_map<std::uint32_t, std::size_t> assoc_index_;
-};
-
-/** App/kernel interference matrix (Figure 13). */
-struct InterferenceMatrix
-{
-    /**
-     * counts[m][v]: misses by stream m (0 = app, 1 = kernel) that
-     * displaced a line owned by v (0 = app, 1 = kernel, 2 = cold fill).
-     */
-    std::uint64_t counts[2][3] = {{0, 0, 0}, {0, 0, 0}};
-
-    std::uint64_t
-    missesBy(int m) const
-    {
-        return counts[m][0] + counts[m][1] + counts[m][2];
-    }
-};
-
-/** Result of a line-granular instruction cache replay. */
-struct ICacheReplayResult
-{
-    std::uint64_t accesses = 0; ///< line fetches
-    std::uint64_t misses = 0;
-    std::uint64_t app_misses = 0;
-    std::uint64_t kernel_misses = 0;
-    InterferenceMatrix interference;
 };
 
 /** Result of a word-granular instrumented replay (Figures 9-11). */

@@ -77,32 +77,41 @@ imageTables(const core::Layout* layout, std::uint32_t blocks)
     return {layout->blockAddrs().data(), layout->blockSizes().data()};
 }
 
+namespace {
+
+/**
+ * Build the filter's stream in one scan of the trace: the per-CPU
+ * partitions are sized from the trace's per-(CPU, image) event counts,
+ * then every event is written to its CPU's slot. `on_block(cpu,
+ * kernel, block)` sees each block ref as it is written, so a caller
+ * that binds the stream to layouts can count over the same scan.
+ */
+template <class OnBlock>
 BlockStream
-buildBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,
-                 bool include_data)
+fillBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,
+                bool include_data, OnBlock& on_block)
 {
     using trace::ImageId;
     BlockStream out;
     out.num_cpus = trace.numCpus();
     const std::size_t n_cpus = static_cast<std::size_t>(out.num_cpus);
 
-    std::vector<std::size_t> count(n_cpus, 0);
     std::size_t n_data = 0;
-    for (const trace::TraceEvent& e : trace.events()) {
-        if (e.image == ImageId::Data) {
-            if (include_data) {
-                ++count[e.cpu];
-                ++n_data;
-            }
-        } else if (wantImage(filter, e.image)) {
-            ++count[e.cpu];
+    out.cpu_begin.assign(n_cpus + 1, 0);
+    for (int c = 0; c < out.num_cpus; ++c) {
+        std::size_t n = 0;
+        for (ImageId image : {ImageId::App, ImageId::Kernel})
+            if (wantImage(filter, image))
+                n += trace.cpuEvents(c, image);
+        if (include_data) {
+            n += trace.cpuEvents(c, ImageId::Data);
+            n_data += trace.cpuEvents(c, ImageId::Data);
         }
+        const std::size_t i = static_cast<std::size_t>(c);
+        out.cpu_begin[i + 1] = out.cpu_begin[i] + n;
     }
     SPIKESIM_ASSERT(n_data <= kBlockIdMask + std::size_t{1},
                     n_data << " data events collide with the id tags");
-    out.cpu_begin.assign(n_cpus + 1, 0);
-    for (std::size_t c = 0; c < n_cpus; ++c)
-        out.cpu_begin[c + 1] = out.cpu_begin[c] + count[c];
     out.ids.resize(out.cpu_begin[n_cpus]);
     out.data_words.resize(n_data);
     out.data_cpus.resize(n_data);
@@ -133,7 +142,71 @@ buildBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,
         out.ids[cursor[e.cpu]++] =
             e.block | pending[e.cpu] | (kernel ? kKernelBlockTag : 0u);
         pending[e.cpu] = 0;
+        on_block(e.cpu, kernel, e.block);
     }
+    return out;
+}
+
+/** A bare stream build sizes nothing. */
+struct NoSizes
+{
+    void operator()(std::uint8_t, bool, std::uint32_t) const {}
+};
+
+/**
+ * Sizes each block ref under the layouts being bound, for
+ * ResolvedTraceSoA's instrs and per-CPU non-empty ref counts. An id
+ * past a layout's table counts as empty here; imageTables() then
+ * rejects the stream once the scan is done.
+ */
+struct BlockSizes
+{
+    std::span<const std::uint32_t> sizes[2]; ///< app, kernel
+    std::uint64_t instrs = 0;
+    std::vector<std::size_t> nonempty; ///< per CPU
+
+    void
+    operator()(std::uint8_t cpu, bool kernel, std::uint32_t block)
+    {
+        const std::span<const std::uint32_t> table = sizes[kernel];
+        const std::uint32_t size = block < table.size() ? table[block] : 0;
+        instrs += size;
+        nonempty[cpu] += size != 0 ? 1 : 0;
+    }
+};
+
+} // namespace
+
+BlockStream
+buildBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,
+                 bool include_data)
+{
+    NoSizes none;
+    return fillBlockStream(trace, filter, include_data, none);
+}
+
+ResolvedTraceSoA
+resolveBlockStream(const trace::TraceBuffer& trace, StreamFilter filter,
+                   bool include_data, const core::Layout& app,
+                   const core::Layout* kernel)
+{
+    BlockSizes sizes;
+    sizes.sizes[0] = app.blockSizes();
+    if (kernel != nullptr)
+        sizes.sizes[1] = kernel->blockSizes();
+    sizes.nonempty.assign(static_cast<std::size_t>(trace.numCpus()), 0);
+
+    ResolvedTraceSoA out;
+    out.stream = fillBlockStream(trace, filter, include_data, sizes);
+    out.app = imageTables(&app, out.stream.app_blocks);
+    out.kernel = imageTables(kernel, out.stream.kernel_blocks);
+    out.instr_events = out.stream.size() - out.stream.data_words.size();
+    out.instrs = sizes.instrs;
+    out.cpu_refs = std::move(sizes.nonempty);
+    if (include_data)
+        for (int c = 0; c < out.stream.num_cpus; ++c)
+            out.cpu_refs[static_cast<std::size_t>(c)] +=
+                trace.cpuEvents(c, trace::ImageId::Data);
     return out;
 }
 

@@ -12,16 +12,19 @@
  * The one compact trace form every production replay path walks. A
  * BlockStream holds each CPU's events as 4-byte tagged ids: a global
  * block id, or an index into a global-order data column. It holds no
- * address, so it is built once per (filter, include_data) and priced
- * under any layout by gathering each ref's (addr, size) from that
- * layout's block tables at walk time: the i-cache and iTLB sweep
+ * address, so it is built once per (filter, include_data), in one scan
+ * of the trace sized from TraceBuffer's per-(CPU, image) counts, and
+ * priced under any layout by gathering each ref's (addr, size) from
+ * that layout's block tables at walk time: the i-cache and iTLB sweep
  * (sim/sweep.hh) takes the stream and the layouts' tables (the layout
- * search prices each candidate that way, on a stream it builds once);
- * the SoA replay kernels (sim/engine.hh) take a ResolvedTraceSoA, the
- * stream bound to one layout pair's tables. The scalar Replayer walks
- * are the one oracle (tests/replay_parallel_test.cc bit-compares the
- * two for all seven families; tests/soa_simd_test.cc decodes
- * resolveSoA ref by ref against a walk of the raw trace).
+ * search prices each candidate that way, on a stream it builds once;
+ * sim::replayICache and sim::replayITlb run it on a resolved trace's
+ * stream); the SoA replay kernels (sim/engine.hh) take a
+ * ResolvedTraceSoA, the stream bound to one layout pair's tables. The
+ * scalar Replayer walks are the one oracle
+ * (tests/replay_parallel_test.cc bit-compares the two for all seven
+ * families; tests/soa_simd_test.cc decodes resolveSoA ref by ref
+ * against a walk of the raw trace).
  */
 
 namespace spikesim::sim {
@@ -164,9 +167,10 @@ struct BlockStream
 
 /**
  * Reduce the filtered trace to its per-CPU tagged-id stream, data refs
- * included when `include_data` is set (two passes: count, then fill
- * exactly sized columns). Dies when a block id or the data-event count
- * reaches the tag bits.
+ * included when `include_data` is set, in one scan: the columns are
+ * sized exactly from the trace's per-(CPU, image) event counts
+ * (TraceBuffer::cpuEvents) and then filled. Dies when a block id or
+ * the data-event count reaches the tag bits.
  */
 BlockStream buildBlockStream(const trace::TraceBuffer& trace,
                              StreamFilter filter,
@@ -241,6 +245,18 @@ struct ResolvedTraceSoA
         return stream.cpuRange(cpu);
     }
 };
+
+/**
+ * buildBlockStream(trace, filter, include_data) bound to the block
+ * tables of `app` and `kernel` (may be null when the stream has no
+ * kernel refs), with instr_events, instrs and cpu_refs counted through
+ * the tables' sizes during the same scan: what Replayer::resolveSoA
+ * returns. Dies when a layout does not cover the stream's block ids.
+ */
+ResolvedTraceSoA resolveBlockStream(const trace::TraceBuffer& trace,
+                                    StreamFilter filter, bool include_data,
+                                    const core::Layout& app,
+                                    const core::Layout* kernel);
 
 } // namespace spikesim::sim
 

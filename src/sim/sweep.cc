@@ -15,11 +15,13 @@ namespace spikesim::sim {
 /** Stores a job's folded counts in its SweepResult (a friend). */
 struct SweepFold
 {
-    /** `accesses` per line index; `hits` per configuration, in the
-     *  result's [li][si][ai] order; `itlb` per iTLB spec. */
+    /** `accesses` per line index; `hits` and `interference` (empty
+     *  unless the spec asks for it) per configuration, in the result's
+     *  [li][si][ai] order; `itlb` per iTLB spec. */
     static void
     store(SweepResult& out, const std::vector<std::uint64_t>& accesses,
           const std::vector<std::uint64_t>& hits,
+          std::vector<InterferenceMatrix> interference,
           std::vector<ITlbReplayResult> itlb)
     {
         const std::size_t per_line =
@@ -27,18 +29,26 @@ struct SweepFold
         out.accesses_ = accesses;
         for (std::size_t i = 0; i < hits.size(); ++i)
             out.misses_[i] = accesses[i / per_line] - hits[i];
+        out.interference_ = std::move(interference);
         out.itlb_ = std::move(itlb);
     }
 };
 
 namespace {
 
-/** One direct-mapped table: a last-line tag per set. */
+/** Owner code of an empty slot: a miss there is a cold fill. */
+constexpr std::uint8_t kOwnerCold = 2;
+
+/** One direct-mapped table: a last-line tag per set, and with
+ *  interference the filling stream per set and the misses by
+ *  [stream][victim owner]. */
 struct DmTable
 {
     std::uint64_t* slots = nullptr;
+    std::uint8_t* owners = nullptr;
     std::uint64_t mask = 0;
     std::uint64_t hits = 0;
+    InterferenceMatrix victims;
 };
 
 /**
@@ -54,8 +64,10 @@ struct LinePass
     bool direct_mapped = false;      ///< every assoc is 1
 
     // Direct-mapped state: one flat tag table per simulator, the
-    // fewest-set one first.
+    // fewest-set one first (owners parallel to tags, interference
+    // only).
     std::vector<std::uint64_t> tags;
+    std::vector<std::uint8_t> owners;
     std::vector<DmTable> tables;
     std::uint64_t inclusive_hits = 0;
 
@@ -67,8 +79,8 @@ struct LinePass
     std::uint64_t last_line = ~0ULL;
 
     LinePass(const SweepSpec& spec, std::size_t line_index);
-    // `tables` points into `tags`: a move keeps the buffer, a copy
-    // would not.
+    // `tables` points into `tags` and `owners`: a move keeps the
+    // buffers, a copy would not.
     LinePass(const LinePass&) = delete;
     LinePass& operator=(const LinePass&) = delete;
     LinePass(LinePass&&) = default;
@@ -84,10 +96,15 @@ struct LinePass
      * was also the last access to its set in every finer table and all
      * slots already hold it -- one compare, no stores. Instruction
      * streams are sequential enough that these two paths take the vast
-     * majority of accesses.
+     * majority of accesses. With kOwners, `m` is the ref's stream (0
+     * app, 1 kernel): a missing DM slot counts its old owner as the
+     * victim and takes `m`, and the stacks attribute their misses
+     * (mem::LruStackSim::accessOwned). Hits change no owner, as in
+     * mem::SetAssocCache.
      */
+    template <bool kOwners>
     void
-    walk(std::uint64_t addr, std::uint64_t last_byte)
+    walk(std::uint64_t addr, std::uint64_t last_byte, unsigned m)
     {
         std::uint64_t ln = addr >> shift;
         const std::uint64_t ln_end = last_byte >> shift;
@@ -105,15 +122,26 @@ struct LinePass
                     continue;
                 }
                 for (DmTable& t : tables) {
-                    std::uint64_t& slot = t.slots[ln & t.mask];
+                    const std::uint64_t i = ln & t.mask;
+                    std::uint64_t& slot = t.slots[i];
+                    if constexpr (kOwners) {
+                        if (slot != ln) {
+                            ++t.victims.counts[m][t.owners[i]];
+                            t.owners[i] = static_cast<std::uint8_t>(m);
+                        }
+                    }
                     t.hits += slot == ln;
                     slot = ln;
                 }
             }
         } else {
             for (; ln <= ln_end; ++ln)
-                for (mem::LruStackSim& sim : sims)
-                    sim.access(ln);
+                for (mem::LruStackSim& sim : sims) {
+                    if constexpr (kOwners)
+                        sim.accessOwned(ln, m);
+                    else
+                        sim.access(ln);
+                }
         }
     }
 
@@ -124,6 +152,20 @@ struct LinePass
         return repeat_hits + (direct_mapped
                                   ? tables[k].hits + inclusive_hits
                                   : sims[k].hitsUpTo(assoc));
+    }
+
+    /** Misses of set count `k` at associativity `assoc` by [stream]
+     *  [victim owner] (interference only). */
+    InterferenceMatrix
+    victims(std::size_t k, std::uint32_t assoc) const
+    {
+        if (direct_mapped)
+            return tables[k].victims;
+        InterferenceMatrix out;
+        for (unsigned m = 0; m < 2; ++m)
+            for (unsigned v = 0; v < 3; ++v)
+                out.counts[m][v] = sims[k].victims(assoc, m, v);
+        return out;
     }
 };
 
@@ -168,25 +210,40 @@ LinePass::LinePass(const SweepSpec& spec, std::size_t line_index)
         for (std::uint32_t sets : set_counts)
             slots += sets;
         tags.assign(slots, ~0ULL);
-        std::uint64_t* base = tags.data();
+        if (spec.interference)
+            owners.assign(slots, kOwnerCold);
+        std::size_t base = 0;
         for (std::uint32_t sets : set_counts) {
-            tables.push_back({base, sets - 1ULL, 0});
+            DmTable t;
+            t.slots = tags.data() + base;
+            t.owners = spec.interference ? owners.data() + base : nullptr;
+            t.mask = sets - 1ULL;
+            tables.push_back(t);
             base += sets;
         }
     } else {
+        // With interference, each simulator attributes misses at the
+        // assocs asked of it.
+        std::vector<std::uint64_t> owner_assocs(set_counts.size(), 0);
+        if (spec.interference)
+            for (std::size_t i = 0; i < sim_of.size(); ++i)
+                owner_assocs[sim_of[i]] |=
+                    1ULL << (spec.assocs[i % num_assocs] - 1);
         sims.reserve(set_counts.size());
         for (std::size_t k = 0; k < set_counts.size(); ++k)
-            sims.emplace_back(set_counts[k], caps[k]);
+            sims.emplace_back(set_counts[k], caps[k], owner_assocs[k]);
     }
 }
 
 /** One (job, CPU) task's counts: line fetches per line index, hits
- *  per configuration in SweepResult's [li][si][ai] order, and one
- *  result per iTLB spec. */
+ *  and (with SweepSpec::interference) the interference matrix per
+ *  configuration in SweepResult's [li][si][ai] order, and one result
+ *  per iTLB spec. */
 struct CpuCounts
 {
     std::vector<std::uint64_t> accesses;
     std::vector<std::uint64_t> hits;
+    std::vector<InterferenceMatrix> interference;
     std::vector<ITlbReplayResult> itlb;
 };
 
@@ -195,8 +252,10 @@ struct CpuCounts
  * from the job's block tables and feeding every line size's pass and
  * every iTLB fetch-granularity group. Data refs and zero-size blocks
  * are skipped: the block stream keeps the latter because emptiness
- * depends on the layout.
+ * depends on the layout. The kernel tag names the ref's stream for
+ * the owner tracking.
  */
+template <bool kOwners>
 CpuCounts
 sweepCpu(const std::uint32_t* ids, std::size_t n,
          const BlockTables& app, const BlockTables& kernel,
@@ -222,8 +281,9 @@ sweepCpu(const std::uint32_t* ids, std::size_t n,
         const std::uint64_t last_byte =
             addr +
             static_cast<std::uint64_t>(size) * program::kInstrBytes - 1;
+        const unsigned m = (id & kKernelBlockTag) != 0 ? 1u : 0u;
         for (LinePass& p : passes)
-            p.walk(addr, last_byte);
+            p.walk<kOwners>(addr, last_byte, m);
         for (detail::ITlbGroup& t : tlbs)
             t.walk(addr, last_byte);
     }
@@ -232,10 +292,13 @@ sweepCpu(const std::uint32_t* ids, std::size_t n,
     for (const LinePass& p : passes) {
         out.accesses.push_back(p.accesses);
         for (std::size_t si = 0; si < spec.size_bytes.size(); ++si)
-            for (std::size_t ai = 0; ai < spec.assocs.size(); ++ai)
-                out.hits.push_back(
-                    p.hits(p.sim_of[si * spec.assocs.size() + ai],
-                           spec.assocs[ai]));
+            for (std::size_t ai = 0; ai < spec.assocs.size(); ++ai) {
+                const std::size_t k = p.sim_of[si * spec.assocs.size() + ai];
+                out.hits.push_back(p.hits(k, spec.assocs[ai]));
+                if constexpr (kOwners)
+                    out.interference.push_back(
+                        p.victims(k, spec.assocs[ai]));
+            }
     }
     out.itlb.resize(spec.itlb.size());
     detail::foldITlbGroups(tlbs, out.itlb.data());
@@ -295,9 +358,13 @@ sweepBound(const std::vector<BoundJob>& jobs, support::ThreadPool* pool)
             submit(pool, [&job = jobs[j], &out = counts[j], c] {
                 obs::Span span("sweep.cpu", "sim");
                 const auto [begin, end] = job.stream->cpuRange(c);
+                const std::uint32_t* ids = job.stream->ids.data() + begin;
                 out[static_cast<std::size_t>(c)] =
-                    sweepCpu(job.stream->ids.data() + begin, end - begin,
-                             job.app, job.kernel, *job.spec);
+                    job.spec->interference
+                        ? sweepCpu<true>(ids, end - begin, job.app,
+                                         job.kernel, *job.spec)
+                        : sweepCpu<false>(ids, end - begin, job.app,
+                                          job.kernel, *job.spec);
             });
         }
     }
@@ -313,11 +380,17 @@ sweepBound(const std::vector<BoundJob>& jobs, support::ThreadPool* pool)
                 total.accesses[i] += cpu.accesses[i];
             for (std::size_t i = 0; i < total.hits.size(); ++i)
                 total.hits[i] += cpu.hits[i];
+            for (std::size_t i = 0; i < total.interference.size(); ++i)
+                for (int m = 0; m < 2; ++m)
+                    for (int v = 0; v < 3; ++v)
+                        total.interference[i].counts[m][v] +=
+                            cpu.interference[i].counts[m][v];
             for (std::size_t i = 0; i < total.itlb.size(); ++i)
                 total.itlb[i] += cpu.itlb[i];
         }
         SweepFold::store(results.emplace_back(*jobs[j].spec),
                          total.accesses, total.hits,
+                         std::move(total.interference),
                          std::move(total.itlb));
     }
 
@@ -381,6 +454,68 @@ sweepStream(const BlockStream& stream, const BlockTables& app,
     checkSpec(spec, "block stream");
     return std::move(sweepBound({{&stream, app, kernel, &spec}}, pool)
                          .front());
+}
+
+std::vector<SweepSpec>
+sweepSpecsFor(std::span<const mem::CacheConfig> configs,
+              std::vector<std::size_t>& spec_of)
+{
+    const auto add = [](std::vector<std::uint32_t>& dim, std::uint32_t v) {
+        if (std::find(dim.begin(), dim.end(), v) == dim.end())
+            dim.push_back(v);
+    };
+    const auto with = [&](SweepSpec spec, const mem::CacheConfig& c) {
+        add(spec.size_bytes, c.size_bytes);
+        add(spec.line_bytes, c.line_bytes);
+        add(spec.assocs, c.assoc);
+        return spec;
+    };
+    std::vector<SweepSpec> specs;
+    spec_of.clear();
+    for (const mem::CacheConfig& c : configs) {
+        std::size_t s = 0;
+        for (; s < specs.size(); ++s) {
+            SweepSpec grown = with(specs[s], c);
+            if (grown.check().empty()) {
+                specs[s] = std::move(grown);
+                break;
+            }
+        }
+        if (s == specs.size()) {
+            SweepSpec fresh;
+            fresh.assocs.clear();
+            specs.push_back(with(std::move(fresh), c));
+        }
+        spec_of.push_back(s);
+    }
+    return specs;
+}
+
+std::vector<ICacheReplayResult>
+sweepColumn(const BlockStream& stream, const BlockTables& app,
+            const BlockTables& kernel,
+            std::span<const mem::CacheConfig> configs, bool interference,
+            support::ThreadPool* pool)
+{
+    std::vector<std::size_t> spec_of;
+    std::vector<SweepResult> sweeps;
+    for (SweepSpec& spec : sweepSpecsFor(configs, spec_of)) {
+        spec.interference = interference;
+        sweeps.push_back(sweepStream(stream, app, kernel, spec, pool));
+    }
+    std::vector<ICacheReplayResult> out;
+    out.reserve(configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        const SweepResult& sweep = sweeps[spec_of[k]];
+        if (interference) {
+            out.push_back(sweep.icache(configs[k]));
+        } else {
+            ICacheReplayResult& r = out.emplace_back();
+            r.accesses = sweep.accesses(configs[k].line_bytes);
+            r.misses = sweep.misses(configs[k]);
+        }
+    }
+    return out;
 }
 
 } // namespace spikesim::sim

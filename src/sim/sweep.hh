@@ -1,6 +1,7 @@
 #ifndef SPIKESIM_SIM_SWEEP_HH
 #define SPIKESIM_SIM_SWEEP_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,10 +25,16 @@
  * counts are folded in CPU order, so results are identical at any pool
  * width and with no pool.
  *
- * This is the one production walk for plain i-cache misses and for
+ * With SweepSpec::interference the walk also keeps who filled each
+ * line (an owner byte per direct-mapped slot, an owner bit per LRU
+ * stack entry and associativity), so every miss knows its victim and
+ * each cell carries Figure 13's app/kernel interference matrix.
+ *
+ * This is the one production walk for i-cache misses and for
  * standalone-iTLB misses: the figure benches' grids, the layout
- * search's re-rank (one job per candidate, on the search's own stream)
- * and sim::replayITlb all run through it.
+ * search's re-rank (one job per candidate, on the search's own stream),
+ * sim::replayICache (interference included) and sim::replayITlb all
+ * run through it.
  */
 
 namespace spikesim::sim {
@@ -65,6 +72,30 @@ std::vector<SweepResult> runSweepJobs(const trace::TraceBuffer& trace,
 SweepResult sweepStream(const BlockStream& stream, const BlockTables& app,
                         const BlockTables& kernel, const SweepSpec& spec,
                         support::ThreadPool* pool = nullptr);
+
+/**
+ * Cover a config column with sweep specs: every spec's size x line x
+ * assoc grid is valid, and configs[k] is a cell of
+ * specs[spec_of[k]]. A column whose distinct sizes, line sizes and
+ * assocs form one valid grid (every column the benches price) gets one
+ * spec; configs are added greedily to the first spec they keep valid.
+ */
+std::vector<SweepSpec> sweepSpecsFor(
+    std::span<const mem::CacheConfig> configs,
+    std::vector<std::size_t>& spec_of);
+
+/**
+ * Price a config column over a block stream: one sweepStream() job per
+ * spec of sweepSpecsFor(configs), result k for configs[k]. With
+ * `interference` the app/kernel split and the interference matrix are
+ * filled too (SweepSpec::interference); without, only accesses and
+ * misses. An empty column runs no job.
+ */
+std::vector<ICacheReplayResult>
+sweepColumn(const BlockStream& stream, const BlockTables& app,
+            const BlockTables& kernel,
+            std::span<const mem::CacheConfig> configs, bool interference,
+            support::ThreadPool* pool = nullptr);
 
 } // namespace spikesim::sim
 

@@ -55,9 +55,7 @@ TraceBuffer::onBlock(const ExecContext& ctx, ImageId image,
     e.cpu = ctx.cpu;
     e.image = image;
     events_.push_back(e);
-    per_image_[static_cast<std::size_t>(image)]++;
-    if (e.cpu > max_cpu_)
-        max_cpu_ = e.cpu;
+    count(e.cpu, image);
 }
 
 void
@@ -69,9 +67,7 @@ TraceBuffer::onData(const ExecContext& ctx, std::uint64_t byte_addr)
     e.cpu = ctx.cpu;
     e.image = ImageId::Data;
     events_.push_back(e);
-    per_image_[static_cast<std::size_t>(ImageId::Data)]++;
-    if (e.cpu > max_cpu_)
-        max_cpu_ = e.cpu;
+    count(e.cpu, ImageId::Data);
 }
 
 void
@@ -113,7 +109,10 @@ TraceBuffer::reserve(std::size_t n)
 std::uint64_t
 TraceBuffer::imageEvents(ImageId image) const
 {
-    return per_image_[static_cast<std::size_t>(image)];
+    std::uint64_t n = 0;
+    for (int c = 0; c <= max_cpu_; ++c)
+        n += cpuEvents(c, image);
+    return n;
 }
 
 std::uint64_t

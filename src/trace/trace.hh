@@ -131,9 +131,7 @@ class TraceBuffer : public TraceSink
     append(const TraceEvent& e)
     {
         events_.push_back(e);
-        per_image_[static_cast<std::size_t>(e.image)]++;
-        if (e.cpu > max_cpu_)
-            max_cpu_ = e.cpu;
+        count(e.cpu, e.image);
     }
 
     /**
@@ -147,10 +145,9 @@ class TraceBuffer : public TraceSink
     appendRun(const TraceEvent* events, std::size_t n, ImageId image,
               std::uint8_t cpu)
     {
-        per_image_[static_cast<std::size_t>(image)] += n;
         events_.insert(events_.end(), events, events + n);
-        if (n > 0 && cpu > max_cpu_)
-            max_cpu_ = cpu;
+        if (n > 0)
+            count(cpu, image, n);
     }
 
     const std::vector<TraceEvent>& events() const { return events_; }
@@ -161,8 +158,9 @@ class TraceBuffer : public TraceSink
     clear()
     {
         events_.clear();
-        for (std::uint64_t& n : per_image_)
-            n = 0;
+        for (std::size_t c = 0; c <= max_cpu_; ++c)
+            for (std::uint64_t& n : cpu_events_[c])
+                n = 0;
         max_cpu_ = 0;
     }
 
@@ -182,8 +180,23 @@ class TraceBuffer : public TraceSink
      */
     void reserve(std::size_t n);
 
-    /** Number of block events from the given image. */
+    /** Number of events from the given image (block events, or data
+     *  references for ImageId::Data). */
     std::uint64_t imageEvents(ImageId image) const;
+
+    /**
+     * Number of events from `image` recorded on `cpu`, kept per event
+     * as the trace grows, so a consumer can size per-CPU partitions
+     * without scanning the trace (sim::buildBlockStream). 0 for a CPU
+     * past numCpus().
+     */
+    std::uint64_t
+    cpuEvents(int cpu, ImageId image) const
+    {
+        if (cpu < 0 || cpu > max_cpu_)
+            return 0;
+        return cpu_events_[cpu][static_cast<std::size_t>(image)];
+    }
 
     /**
      * Total dynamic instructions in the trace for an image, given the
@@ -194,9 +207,22 @@ class TraceBuffer : public TraceSink
                                 ImageId image) const;
 
   private:
+    /** One more (or `n` more) events of `image` on `cpu`. */
+    void
+    count(std::uint8_t cpu, ImageId image, std::uint64_t n = 1)
+    {
+        cpu_events_[cpu][static_cast<std::size_t>(image)] += n;
+        if (cpu > max_cpu_)
+            max_cpu_ = cpu;
+    }
+
+    /** Largest number of CPUs a trace can name (TraceEvent::cpu). */
+    static constexpr std::size_t kMaxCpus = 256;
+
     std::vector<TraceEvent> events_;
-    std::uint64_t per_image_[kNumImages] = {};
     std::uint8_t max_cpu_ = 0;
+    /** Events per (cpu, image); rows past max_cpu_ are all zero. */
+    std::uint64_t cpu_events_[kMaxCpus][kNumImages] = {};
 };
 
 /** Sink that discards everything (for warmup phases). */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and differential tests for the SoA resolved trace (sim/soa.hh)
- * and the SoA i-cache kernel (sim/kernels_detail.hh):
+ * and the walks over it (sim/kernels_detail.hh, sim/sweep.cc):
  *
  *  - Replayer::resolveSoA, decoded ref by ref through its block
  *    tables, matches a walk of the raw trace written out in the test:
@@ -14,9 +14,10 @@
  *    per-CPU data refs against the global data column; size(),
  *    instrs and instr_events against a raw-trace count.
  *  - The batched ref decoder on zero-sized blocks across many batches:
- *    the i-cache and sequence walks match their oracles under AppOnly
- *    and KernelOnly, with and without data, and sim.replay.refs counts
- *    the replayed refs only.
+ *    the i-cache (sweep) and sequence (shard) walks match their
+ *    oracles under AppOnly and KernelOnly, with and without data;
+ *    sim.replay.refs counts the refs a shard replays, and
+ *    sim.sweep.streamed_refs the ids a sweep job streams.
  *  - buildBlockStream: each CPU's filtered refs in trace order, with
  *    run-break tags and the image block counts, on a two-image
  *    synthetic trace; a zero-sized block after a filtered-out kernel
@@ -587,12 +588,15 @@ TEST(BlockStream, ZeroSizedBlockAfterFilteredKernelRunKeepsTheBreak)
 }
 
 /**
- * The production decoder (InstrRefWalk, 256 refs per batch) on traces
- * with zero-sized blocks that span many batches: the i-cache and
- * sequence walks match their oracles under AppOnly and KernelOnly,
- * with and without data refs in the stream, with no pool and on a
- * pool. Each shard adds its CPU's replayed refs to sim.replay.refs,
- * so one serial walk adds size(): zero-sized blocks stay out.
+ * Traces with zero-sized blocks that span many of the production
+ * decoder's batches (InstrRefWalk, 256 refs per batch): the i-cache
+ * (the sweep, which skips them itself) and sequence walks match their
+ * oracles under AppOnly and KernelOnly, with and without data refs in
+ * the stream, with no pool and on a pool. Each shard adds its CPU's
+ * replayed refs to sim.replay.refs, so one serial sequence walk adds
+ * size(): zero-sized blocks stay out. A sweep job adds the ids it
+ * streams, empty blocks and data refs included, to
+ * sim.sweep.streamed_refs.
  */
 TEST(ReplayEngine, ZeroSizedBlocksAcrossBatchesMatchOracle)
 {
@@ -600,6 +604,7 @@ TEST(ReplayEngine, ZeroSizedBlocksAcrossBatchesMatchOracle)
         {4 * 1024, 32, 1}, {8 * 1024, 64, 2}, {16 * 1024, 128, 4}};
     support::ThreadPool pool(3);
     const obs::Counter& refs = obs::counter("sim.replay.refs");
+    const obs::Counter& streamed = obs::counter("sim.sweep.streamed_refs");
     for (int cpus : {1, 4}) {
         const Workload w(cpus, 7400 + static_cast<std::uint32_t>(cpus),
                          /*zero_blocks=*/true);
@@ -628,12 +633,14 @@ TEST(ReplayEngine, ZeroSizedBlocksAcrossBatchesMatchOracle)
                     << what;
                 for (support::ThreadPool* p :
                      {static_cast<support::ThreadPool*>(nullptr), &pool}) {
-                    const std::uint64_t before = refs.value();
+                    const std::uint64_t streamed_before = streamed.value();
                     const std::vector<ICacheReplayResult> got =
                         replayICache(soa, configs, SimdMode::Auto, p);
-                    if (SPIKESIM_OBS != 0 && p == nullptr)
-                        EXPECT_EQ(refs.value() - before, soa.size())
+                    if (SPIKESIM_OBS != 0) {
+                        EXPECT_EQ(streamed.value() - streamed_before,
+                                  soa.stream.size())
                             << what;
+                    }
                     for (std::size_t i = 0; i < configs.size(); ++i) {
                         EXPECT_EQ(got[i].accesses, oracle[i].accesses)
                             << what << " cfg " << i;
@@ -645,7 +652,12 @@ TEST(ReplayEngine, ZeroSizedBlocksAcrossBatchesMatchOracle)
                                   oracle[i].kernel_misses)
                             << what << " cfg " << i;
                     }
+                    const std::uint64_t before = refs.value();
                     const metrics::SequenceStats s = replaySequence(soa, p);
+                    if (SPIKESIM_OBS != 0) {
+                        EXPECT_EQ(refs.value() - before, soa.size())
+                            << what;
+                    }
                     for (std::size_t b = 0; b < seq.lengths.numBuckets();
                          ++b)
                         EXPECT_EQ(s.lengths.bucket(b), seq.lengths.bucket(b))

@@ -19,11 +19,21 @@
  *    events.
  *  - An iTLB-only spec through runSweepJobs at several pool widths,
  *    and the specs check() and the executor reject.
+ *  - Interference: the sweep-backed sim::replayICache (victim owners
+ *    per direct-mapped slot and per LRU-stack entry) against
+ *    Replayer::icache's accesses, misses, app/kernel split and
+ *    interference matrix, on the same workload with zero-sized
+ *    blocks, every filter, DM/2-way/4-way at 32/64/128B and pool
+ *    widths 0/1/3; the kernel image also shares the app's addresses,
+ *    so a line can be filled by either stream. An empty config column
+ *    runs no sweep job.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +45,7 @@
 #include "opt/perturb.hh"
 #include "profile/profile.hh"
 #include "program/builder.hh"
+#include "sim/engine.hh"
 #include "sim/sweep.hh"
 #include "support/rng.hh"
 #include "support/threadpool.hh"
@@ -561,6 +572,132 @@ TEST(Sweep, ITlbOnlySpecMatchesOracleAtEveryPoolWidth)
             }
         }
     }
+}
+
+TEST(SweepInterference, ReplayICacheMatchesOracleAtEveryPoolWidth)
+{
+    TwoImageWorkload& w = twoImageWorkload();
+    core::PipelineOptions popts;
+    popts.combo = core::OptCombo::All;
+    const core::Layout app = core::buildLayout(w.app.prog, w.prof, popts);
+    // A kernel at its own base, and one laid over the app's text: there
+    // a line can be filled by one stream and hit or refilled by the
+    // other, so owners must follow fills per associativity.
+    const core::Layout kern_apart =
+        core::baselineLayout(w.kern.prog, 0x400000);
+    const core::Layout kern_shared =
+        core::baselineLayout(w.kern.prog, app.textBase());
+
+    std::vector<mem::CacheConfig> configs;
+    for (std::uint32_t size : {2u * 1024, 16u * 1024})
+        for (std::uint32_t line : {32u, 64u, 128u})
+            for (std::uint32_t assoc : {1u, 2u, 4u})
+                configs.push_back({size, line, assoc});
+
+    const obs::Counter& sweep_jobs = obs::counter("sim.sweep.jobs");
+    std::uint64_t zero_sized_refs = 0;
+    std::uint64_t kernel_victims = 0;
+    for (const core::Layout* kern : {&kern_apart, &kern_shared}) {
+        const Replayer rep(w.buf, app, kern);
+        for (StreamFilter filter : {StreamFilter::AppOnly,
+                                    StreamFilter::KernelOnly,
+                                    StreamFilter::Combined}) {
+            const ResolvedTraceSoA soa = rep.resolveSoA(filter);
+            zero_sized_refs += soa.instr_events - soa.size();
+            std::vector<ICacheReplayResult> oracle;
+            for (const mem::CacheConfig& c : configs)
+                oracle.push_back(rep.icache(c, filter));
+            for (int width : {0, 1, 3}) {
+                std::optional<support::ThreadPool> pool;
+                if (width > 0)
+                    pool.emplace(width);
+                const std::uint64_t jobs_before = sweep_jobs.value();
+                const std::vector<ICacheReplayResult> got = replayICache(
+                    soa, configs, SimdMode::Auto, pool ? &*pool : nullptr);
+                // The column is one valid grid: one sweep job.
+                EXPECT_EQ(sweep_jobs.value() - jobs_before, 1u);
+                ASSERT_EQ(got.size(), configs.size());
+                for (std::size_t i = 0; i < configs.size(); ++i) {
+                    SCOPED_TRACE(
+                        std::string(kern == &kern_shared ? "shared"
+                                                         : "apart") +
+                        " filter " +
+                        std::to_string(static_cast<int>(filter)) +
+                        " width " + std::to_string(width) + " " +
+                        configs[i].label());
+                    const ICacheReplayResult& o = oracle[i];
+                    EXPECT_EQ(got[i].accesses, o.accesses);
+                    EXPECT_EQ(got[i].misses, o.misses);
+                    EXPECT_EQ(got[i].app_misses, o.app_misses);
+                    EXPECT_EQ(got[i].kernel_misses, o.kernel_misses);
+                    for (int m = 0; m < 2; ++m)
+                        for (int v = 0; v < 3; ++v)
+                            EXPECT_EQ(got[i].interference.counts[m][v],
+                                      o.interference.counts[m][v])
+                                << "cell " << m << "," << v;
+                    kernel_victims += o.interference.counts[0][1];
+                }
+            }
+        }
+    }
+    // The cases must exercise the zero-sized-block skip and
+    // app-displaces-kernel misses.
+    EXPECT_GT(zero_sized_refs, 0u);
+    EXPECT_GT(kernel_victims, 0u);
+}
+
+TEST(SweepInterference, EmptyColumnRunsNoSweepJob)
+{
+    TwoImageWorkload& w = twoImageWorkload();
+    const core::Layout app = core::baselineLayout(w.app.prog);
+    const core::Layout kern = core::baselineLayout(w.kern.prog, 0x400000);
+    const Replayer rep(w.buf, app, &kern);
+    const ResolvedTraceSoA soa = rep.resolveSoA(StreamFilter::Combined);
+    const obs::Counter& sweep_jobs = obs::counter("sim.sweep.jobs");
+    const std::span<const mem::CacheConfig> none;
+    support::ThreadPool pool(2);
+    for (support::ThreadPool* p : {static_cast<support::ThreadPool*>(nullptr),
+                                   &pool}) {
+        const std::uint64_t before = sweep_jobs.value();
+        for (bool interference : {false, true})
+            EXPECT_TRUE(sweepColumn(soa.stream, soa.app, soa.kernel, none,
+                                    interference, p)
+                            .empty());
+        EXPECT_TRUE(replayICache(soa, none, SimdMode::Auto, p).empty());
+        EXPECT_EQ(sweep_jobs.value(), before);
+    }
+}
+
+TEST(SweepInterference, SpecsForAColumnCoverItWithValidGrids)
+{
+    // 16KB 3-way has no whole set count, so a column mixing it with
+    // 4-way configs cannot be one grid.
+    const std::vector<mem::CacheConfig> configs = {
+        {16 * 1024, 64, 1}, {48 * 1024, 64, 3}, {64 * 1024, 128, 4},
+        {16 * 1024, 32, 2}};
+    std::vector<std::size_t> spec_of;
+    const std::vector<SweepSpec> specs = sweepSpecsFor(configs, spec_of);
+    ASSERT_EQ(spec_of.size(), configs.size());
+    EXPECT_GT(specs.size(), 1u);
+    for (const SweepSpec& spec : specs)
+        EXPECT_EQ(spec.check(), "");
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        const SweepSpec& spec = specs[spec_of[k]];
+        const auto has = [](const std::vector<std::uint32_t>& dim,
+                            std::uint32_t v) {
+            return std::find(dim.begin(), dim.end(), v) != dim.end();
+        };
+        EXPECT_TRUE(has(spec.size_bytes, configs[k].size_bytes) &&
+                    has(spec.line_bytes, configs[k].line_bytes) &&
+                    has(spec.assocs, configs[k].assoc))
+            << configs[k].label();
+    }
+    // A column that is one valid grid gets one spec.
+    std::vector<mem::CacheConfig> grid;
+    for (std::uint32_t size : {32u * 1024, 64u * 1024})
+        for (std::uint32_t line : {32u, 64u})
+            grid.push_back({size, line, 2});
+    EXPECT_EQ(sweepSpecsFor(grid, spec_of).size(), 1u);
 }
 
 using SweepDeathTest = ::testing::Test;

@@ -332,9 +332,10 @@ checkServing(BenchChecker& c)
     }
 }
 
-/** Field checks specific to BENCH_replay.json (the SoA replay
- *  micro-bench): the headline, the fig04 grid through the SoA kernel
- *  and through the LRU-stack sweep, and the per-family columns. */
+/** Field checks specific to BENCH_replay.json (the replay
+ *  micro-bench): the headline, the fig04 grid on the LRU-stack sweep
+ *  with and without interference tracking, and the per-family
+ *  columns. */
 void
 checkReplay(BenchChecker& c)
 {
@@ -346,8 +347,8 @@ checkReplay(BenchChecker& c)
           "pooled_threads", "soa_scalar_vs_oracle",
           "pooled_vs_soa_scalar", "end_to_end_speedup",
           "resolve_seconds", "icache_grid_configs",
-          "icache_grid_soa_scalar_seconds", "icache_grid_sweep_seconds",
-          "family_scalar_icache_seconds",
+          "icache_grid_interference_seconds",
+          "icache_grid_sweep_seconds", "family_icache_seconds",
           "family_threec_seconds", "family_streambuf_seconds",
           "family_itlb_seconds"})
         c.number(doc, "top level", key);
